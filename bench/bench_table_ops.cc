@@ -1,6 +1,5 @@
-/// Microbenchmarks for the table operator suite: the retained
-/// row-at-a-time reference operators vs the vectorized columnar kernels
-/// (vec_ops.h), at several thread counts. These are the numbers behind
+/// Microbenchmarks for the vectorized columnar kernels (vec_ops.h), serial
+/// and at several thread counts. These are the numbers behind
 /// BENCH_table.json's kernel-level rows.
 
 #include <cstdio>
@@ -12,7 +11,6 @@
 #include "bench_main.h"
 
 #include "table/columnar.h"
-#include "table/ops.h"
 #include "table/table.h"
 #include "table/vec_ops.h"
 #include "util/check.h"
@@ -30,7 +28,6 @@ using table::ColumnarTable;
 using table::ColumnarTableBuilder;
 using table::DataType;
 using table::Schema;
-using table::Table;
 using table::Value;
 
 /// A sales-fact-style table: int64 key with limited cardinality, doubles,
@@ -74,101 +71,65 @@ std::shared_ptr<const ColumnarTable> MakeCustomers(size_t n) {
 
 constexpr size_t kRows = 200000;
 
-/// state.range(0) selects the engine for every benchmark here:
-/// -1 = row-at-a-time reference; 0 = vectorized serial; k>0 = vectorized
-/// over a k-thread pool.
+/// state.range(0) is the pool size for every benchmark here: 0 = serial,
+/// k>0 = a k-thread pool.
 void BM_Filter(benchmark::State& state) {
-  const int64_t mode = state.range(0);
+  const int64_t threads = state.range(0);
   auto cols = MakeFacts(kRows);
-  Table t = Table::FromColumnar(cols);
-  t.rows();  // pre-materialize so the row path measures filtering only
   std::unique_ptr<ThreadPool> pool;
-  if (mode > 0) pool = std::make_unique<ThreadPool>(mode);
+  if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
   const Value cutoff{500.0};
-  if (mode < 0) {
-    auto pred =
-        table::ColumnCompare(t.schema(), "amount", CmpOp::kGt, cutoff);
-    MDE_CHECK(pred.ok());
-    for (auto _ : state) {
-      Table out = table::Filter(t, pred.value());
-      benchmark::DoNotOptimize(out);
-    }
-  } else {
-    for (auto _ : state) {
-      auto sel = table::VecFilter(*cols, nullptr, "amount", CmpOp::kGt,
-                                  cutoff, pool.get());
-      MDE_CHECK(sel.ok());
-      auto out = table::VecCompact(*cols, sel.value(), pool.get());
-      benchmark::DoNotOptimize(out);
-    }
+  for (auto _ : state) {
+    auto sel = table::VecFilter(*cols, nullptr, "amount", CmpOp::kGt, cutoff,
+                                pool.get());
+    MDE_CHECK(sel.ok());
+    auto out = table::VecCompact(*cols, sel.value(), pool.get());
+    benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(kRows));
 }
-BENCHMARK(BM_Filter)->Arg(-1)->Arg(0)->Arg(2)->Arg(4);
+BENCHMARK(BM_Filter)->Arg(0)->Arg(2)->Arg(4);
 
 void BM_HashJoin(benchmark::State& state) {
-  const int64_t mode = state.range(0);
+  const int64_t threads = state.range(0);
   auto facts = MakeFacts(kRows / 4);
   auto customers = MakeCustomers(kRows / 32);
   std::unique_ptr<ThreadPool> pool;
-  if (mode > 0) pool = std::make_unique<ThreadPool>(mode);
-  if (mode < 0) {
-    Table l = Table::FromColumnar(facts);
-    Table r = Table::FromColumnar(customers);
-    l.rows();
-    r.rows();
-    for (auto _ : state) {
-      auto out = table::HashJoin(l, r, {"customer"}, {"cid"});
-      MDE_CHECK(out.ok());
-      benchmark::DoNotOptimize(out);
-    }
-  } else {
-    for (auto _ : state) {
-      auto out = table::VecHashJoin(ColumnarBatch{facts, {}, true},
-                                    ColumnarBatch{customers, {}, true},
-                                    {"customer"}, {"cid"}, pool.get());
-      MDE_CHECK(out.ok());
-      benchmark::DoNotOptimize(out);
-    }
+  if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
+  for (auto _ : state) {
+    auto out = table::VecHashJoin(ColumnarBatch{facts, {}, true},
+                                  ColumnarBatch{customers, {}, true},
+                                  {"customer"}, {"cid"}, pool.get());
+    MDE_CHECK(out.ok());
+    benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(kRows / 4));
 }
-BENCHMARK(BM_HashJoin)->Arg(-1)->Arg(0)->Arg(2)->Arg(4);
+BENCHMARK(BM_HashJoin)->Arg(0)->Arg(2)->Arg(4);
 
 void BM_GroupBy(benchmark::State& state) {
-  const int64_t mode = state.range(0);
+  const int64_t threads = state.range(0);
   auto cols = MakeFacts(kRows);
   const std::vector<std::string> keys = {"region"};
   const std::vector<AggSpec> aggs = {{AggKind::kSum, "amount", "total"},
                                      {AggKind::kAvg, "amount", "avg"},
                                      {AggKind::kCount, "", "n"}};
   std::unique_ptr<ThreadPool> pool;
-  if (mode > 0) pool = std::make_unique<ThreadPool>(mode);
-  if (mode < 0) {
-    Table t = Table::FromColumnar(cols);
-    t.rows();
-    for (auto _ : state) {
-      auto out = table::GroupBy(t, keys, aggs);
-      MDE_CHECK(out.ok());
-      benchmark::DoNotOptimize(out);
-    }
-  } else {
-    for (auto _ : state) {
-      auto out = table::VecGroupBy(ColumnarBatch{cols, {}, true}, keys, aggs,
-                                   pool.get());
-      MDE_CHECK(out.ok());
-      benchmark::DoNotOptimize(out);
-    }
+  if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
+  for (auto _ : state) {
+    auto out = table::VecGroupBy(ColumnarBatch{cols, {}, true}, keys, aggs,
+                                 pool.get());
+    MDE_CHECK(out.ok());
+    benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(kRows));
 }
-BENCHMARK(BM_GroupBy)->Arg(-1)->Arg(0)->Arg(2)->Arg(4);
+BENCHMARK(BM_GroupBy)->Arg(0)->Arg(2)->Arg(4);
 
 void Preamble() {
   std::printf(
       "=== table operator microbenchmarks ===\n"
-      "Arg(-1): row-at-a-time reference operators\n"
       "Arg(0):  vectorized kernels, serial\n"
       "Arg(k):  vectorized kernels over a k-thread pool\n\n");
 }

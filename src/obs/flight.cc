@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "obs/escape.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -96,20 +97,6 @@ void InstallHandlersOnce() {
       sigaction(sig, &sa, &g_prev_actions[sig]);
     } else {
       sigaction(sig, &sa, nullptr);
-    }
-  }
-}
-
-void JsonEscapeInto(const char* s, std::string* out) {
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    if (c == '"' || c == '\\') {
-      out->push_back('\\');
-      out->push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out->push_back(' ');
-    } else {
-      out->push_back(c);
     }
   }
 }
@@ -307,7 +294,7 @@ std::string FlightRecorder::RenderJson(const std::string& reason) const {
   std::string doc;
   doc.reserve(1 << 14);
   doc.append("{\"flight\":{\"version\":1,\"reason\":\"");
-  JsonEscapeInto(reason.c_str(), &doc);
+  JsonEscapeInto(reason, &doc);
   doc.append("\",\"ts_ns\":");
   AppendU64(NowNanos(), &doc);
   doc.push_back(',');
@@ -320,7 +307,7 @@ std::string FlightRecorder::RenderJson(const std::string& reason) const {
     if (!first) doc.push_back(',');
     first = false;
     doc.push_back('"');
-    JsonEscapeInto(m.name.c_str(), &doc);
+    JsonEscapeInto(m.name, &doc);
     doc.append("\":");
     AppendU64(static_cast<uint64_t>(m.value), &doc);
   }
@@ -331,7 +318,7 @@ std::string FlightRecorder::RenderJson(const std::string& reason) const {
     if (!first) doc.push_back(',');
     first = false;
     doc.push_back('"');
-    JsonEscapeInto(m.name.c_str(), &doc);
+    JsonEscapeInto(m.name, &doc);
     doc.append("\":");
     char buf[40];
     std::snprintf(buf, sizeof(buf), "%.17g", m.value);

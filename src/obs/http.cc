@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "obs/context.h"
+#include "obs/escape.h"
 #include "obs/export.h"
 #include "obs/flight.h"
 #include "obs/mem.h"
@@ -44,19 +45,6 @@ void HtmlEscapeInto(const std::string& s, std::string* out) {
         break;
       default:
         out->push_back(c);
-    }
-  }
-}
-
-void JsonEscapeInto(const std::string& s, std::string* out) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out->push_back('\\');
-      out->push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out->push_back(' ');
-    } else {
-      out->push_back(c);
     }
   }
 }

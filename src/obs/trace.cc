@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "obs/context.h"
+#include "obs/escape.h"
 #include "obs/flight.h"
 
 namespace mde::obs {
@@ -15,21 +16,6 @@ namespace {
 
 thread_local uint32_t tls_span_depth = 0;
 thread_local bool tls_thread_named = false;
-
-/// Minimal JSON string escape (span names are identifiers in practice, but
-/// the exporter must never emit malformed JSON).
-void EscapeJson(const char* s, std::ostream& os) {
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    if (c == '"' || c == '\\') {
-      os << '\\' << c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      os << ' ';
-    } else {
-      os << c;
-    }
-  }
-}
 
 }  // namespace
 
@@ -163,7 +149,7 @@ void Tracer::WriteChromeTrace(std::ostream& os) const {
     if (name.empty()) {
       os << "thread-" << tid;
     } else {
-      EscapeJson(name.c_str(), os);
+      os << JsonEscape(name);
     }
     os << "\"}}";
   }
@@ -171,7 +157,7 @@ void Tracer::WriteChromeTrace(std::ostream& os) const {
   // causal chain.
   for (const TraceEvent& e : events) {
     os << ",{\"name\":\"";
-    EscapeJson(e.name, os);
+    os << JsonEscape(e.name);
     os << "\",\"cat\":\"mde\",\"ph\":\"X\",\"pid\":0,\"tid\":" << e.tid
        << ",\"ts\":" << static_cast<double>(e.ts_ns - t0) / 1000.0
        << ",\"dur\":" << static_cast<double>(e.dur_ns) / 1000.0;

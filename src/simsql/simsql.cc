@@ -1,5 +1,7 @@
 #include "simsql/simsql.h"
 
+#include <set>
+
 #include "ckpt/fault.h"
 #include "ckpt/snapshot.h"
 #include "obs/context.h"
@@ -34,8 +36,22 @@ void PutValue(ckpt::SectionWriter* s, const table::Value& v) {
   }
 }
 
-table::Value TakeValue(ckpt::SectionReader* s) {
-  switch (static_cast<table::DataType>(s->U8())) {
+/// Decodes a type byte (declared column type or cell tag); snapshot bytes
+/// come from outside the process, so an out-of-range byte is an error.
+Result<table::DataType> TakeDataType(ckpt::SectionReader* s) {
+  const uint8_t b = s->U8();
+  if (b > static_cast<uint8_t>(table::DataType::kString)) {
+    return Status::InvalidArgument("checkpoint: unknown data type " +
+                                   std::to_string(b));
+  }
+  return static_cast<table::DataType>(b);
+}
+
+Result<table::Value> TakeValue(ckpt::SectionReader* s) {
+  MDE_ASSIGN_OR_RETURN(table::DataType type, TakeDataType(s));
+  switch (type) {
+    case table::DataType::kNull:
+      return table::Value();
     case table::DataType::kBool:
       return table::Value(s->Bool());
     case table::DataType::kInt64:
@@ -44,10 +60,8 @@ table::Value TakeValue(ckpt::SectionReader* s) {
       return table::Value(s->Double());
     case table::DataType::kString:
       return table::Value(s->String());
-    case table::DataType::kNull:
-    default:
-      return table::Value();
   }
+  return Status::Internal("unreachable data type");
 }
 
 void PutTable(ckpt::SectionWriter* s, const table::Table& t) {
@@ -63,21 +77,48 @@ void PutTable(ckpt::SectionWriter* s, const table::Table& t) {
   }
 }
 
-table::Table TakeTable(ckpt::SectionReader* s) {
+/// Decodes one table, rejecting anything Table's own checks would abort on
+/// (duplicate column names, a cell whose tag differs from its column's
+/// type) and any count larger than the bytes left could encode: a column
+/// spec takes at least 5 bytes and a cell at least its 1-byte tag. A table
+/// with no columns therefore restores only with no rows.
+Result<table::Table> TakeTable(ckpt::SectionReader* s) {
   const uint32_t ncols = s->U32();
+  if (ncols > s->remaining() / 5) {
+    return Status::InvalidArgument("checkpoint: column count exceeds section");
+  }
   std::vector<table::ColumnSpec> cols;
   cols.reserve(ncols);
+  std::set<std::string> names;
   for (uint32_t c = 0; c < ncols; ++c) {
     std::string name = s->String();
-    const auto type = static_cast<table::DataType>(s->U8());
+    MDE_ASSIGN_OR_RETURN(table::DataType type, TakeDataType(s));
+    if (!names.insert(name).second) {
+      return Status::InvalidArgument("checkpoint: duplicate column " + name);
+    }
     cols.push_back({std::move(name), type});
   }
+  MDE_RETURN_NOT_OK(s->status());
   table::Table t{table::Schema(std::move(cols))};
   const uint64_t nrows = s->U64();
-  for (uint64_t r = 0; r < nrows && s->status().ok(); ++r) {
+  if (ncols == 0 ? nrows != 0 : nrows > s->remaining() / ncols) {
+    return Status::InvalidArgument("checkpoint: row count exceeds section");
+  }
+  for (uint64_t r = 0; r < nrows; ++r) {
     table::Row row;
     row.reserve(ncols);
-    for (uint32_t c = 0; c < ncols; ++c) row.push_back(TakeValue(s));
+    for (uint32_t c = 0; c < ncols; ++c) {
+      MDE_ASSIGN_OR_RETURN(table::Value v, TakeValue(s));
+      const table::ColumnSpec& col = t.schema().column(c);
+      if (!v.is_null() && v.type() != col.type) {
+        return Status::InvalidArgument(
+            "checkpoint: " + std::string(table::DataTypeName(v.type())) +
+            " cell in " + table::DataTypeName(col.type) + " column " +
+            col.name);
+      }
+      row.push_back(std::move(v));
+    }
+    MDE_RETURN_NOT_OK(s->status());
     t.Append(std::move(row));
   }
   return t;
@@ -91,12 +132,13 @@ void PutState(ckpt::SectionWriter* s, const DatabaseState& state) {
   }
 }
 
-DatabaseState TakeState(ckpt::SectionReader* s) {
+Result<DatabaseState> TakeState(ckpt::SectionReader* s) {
   DatabaseState state;
   const uint32_t n = s->U32();
   for (uint32_t i = 0; i < n && s->status().ok(); ++i) {
     std::string name = s->String();
-    state.emplace(std::move(name), TakeTable(s));
+    MDE_ASSIGN_OR_RETURN(table::Table t, TakeTable(s));
+    state.emplace(std::move(name), std::move(t));
   }
   return state;
 }
@@ -108,12 +150,9 @@ Status MarkovChainDb::AddDeterministic(const std::string& name,
   if (deterministic_.count(name) > 0) {
     return Status::AlreadyExists("table exists: " + name);
   }
-  // Re-wrap columnar-convertible tables so the per-step state copies in
-  // Run() share immutable column blocks instead of deep-copying boxed rows
-  // (tables with mixed-type columns keep their row storage).
-  if (auto cols = t.ToColumnar(); cols.ok()) {
-    t = table::Table::FromColumnar(std::move(cols).value());
-  }
+  // Re-wrap as columnar so the per-step state copies in Run() share
+  // immutable column blocks instead of deep-copying boxed rows.
+  t = table::Table::FromColumnar(t.ToColumnar().value());
   deterministic_.emplace(name, std::move(t));
   return Status::OK();
 }
@@ -245,13 +284,14 @@ Status ChainRunner::Restore(const std::string& snapshot) {
         "simsql checkpoint is for a different chain length");
   }
   MDE_ASSIGN_OR_RETURN(ckpt::SectionReader st, snap.section("state"));
-  DatabaseState state = TakeState(&st);
+  MDE_ASSIGN_OR_RETURN(DatabaseState state, TakeState(&st));
   MDE_RETURN_NOT_OK(st.ExpectEnd());
   MDE_ASSIGN_OR_RETURN(ckpt::SectionReader h, snap.section("history"));
   std::vector<DatabaseState> history;
   const uint32_t nh = h.U32();
   for (uint32_t i = 0; i < nh && h.status().ok(); ++i) {
-    history.push_back(TakeState(&h));
+    MDE_ASSIGN_OR_RETURN(DatabaseState past, TakeState(&h));
+    history.push_back(std::move(past));
   }
   MDE_RETURN_NOT_OK(h.ExpectEnd());
   next_version_ = version;

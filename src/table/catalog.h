@@ -15,8 +15,7 @@
 namespace mde::table {
 
 /// Per-column statistics, computed in one pass over the cached columnar
-/// blocks (or the boxed rows for tables that stay on the row path) and
-/// memoized on the Table. The cost model (cost.h) turns these into
+/// blocks and memoized on the Table. The cost model (cost.h) turns these into
 /// selectivity and cardinality estimates; the optimizer (optimizer.h) turns
 /// those into predicate order, projection pruning, and join order.
 struct ColumnStats {
@@ -60,8 +59,8 @@ struct TableStats {
   const ColumnStats* Find(const std::string& name) const;
 };
 
-/// Computes statistics for `t` from its columnar blocks when it converts
-/// (one vectorized pass per column) or from the boxed rows otherwise.
+/// Computes statistics for `t` from its columnar blocks (one vectorized
+/// pass per column).
 /// Deterministic: the same table always produces the same stats.
 std::shared_ptr<const TableStats> ComputeTableStats(const Table& t);
 

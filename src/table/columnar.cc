@@ -245,15 +245,6 @@ Row ColumnarTable::MaterializeRow(size_t i) const {
   return r;
 }
 
-Result<std::shared_ptr<const ColumnarTable>> ColumnarTable::FromTable(
-    const Table& t) {
-  return t.ToColumnar();
-}
-
-Table ColumnarTable::ToTable(std::shared_ptr<const ColumnarTable> cols) {
-  return Table::FromColumnar(std::move(cols));
-}
-
 ColumnarTableBuilder::ColumnarTableBuilder(Schema schema)
     : schema_(std::move(schema)) {
   builders_.reserve(schema_.num_columns());

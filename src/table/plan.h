@@ -91,16 +91,14 @@ struct ExecutionStats {
 
   /// One operator's profile from an EXPLAIN ANALYZE run.
   struct NodeProfile {
-    /// Rows the operator produced (for vectorized nodes, the selection
-    /// cardinality — nothing is materialized until the plan root).
+    /// Rows the operator produced (the selection cardinality — nothing is
+    /// materialized until the plan root).
     size_t rows_out = 0;
     /// Inclusive wall time: this operator plus everything below it.
     double wall_ns = 0.0;
     /// Vectorized chunk count over the operator's input domain
-    /// (ceil(rows / kVecGrain)); 0 on the row path.
+    /// (ceil(rows / kVecGrain)).
     size_t chunks = 0;
-    /// True when the columnar executor ran this node.
-    bool vectorized = false;
     /// The optimizer's cardinality estimate for this node, or -1 when the
     /// plan was executed without estimation (no cost model consulted).
     /// Compared against rows_out by ExplainAnalyze and folded back into
@@ -109,10 +107,9 @@ struct ExecutionStats {
     double est_rows = -1.0;
   };
   /// Per-operator profiles indexed by the plan's pre-order position (node,
-  /// then child — left before right for joins). Both executors traverse in
-  /// the same order, so index i always refers to the same plan node. Filled
-  /// whenever a stats pointer is passed to ExecutePlan; cleared at the start
-  /// of each execution.
+  /// then child — left before right for joins), so index i always refers to
+  /// the same plan node. Filled whenever a stats pointer is passed to
+  /// ExecutePlan; cleared at the start of each execution.
   std::vector<NodeProfile> nodes;
 };
 
@@ -121,15 +118,9 @@ Result<Table> ExecutePlan(const PlanPtr& plan, ExecutionStats* stats);
 
 /// EXPLAIN ANALYZE: the operator tree annotated with the per-node profile
 /// that ExecutePlan collected into `stats` — rows produced, inclusive wall
-/// time, chunk counts, and which path (vec/row) ran each operator. `plan`
-/// must be the same plan that produced `stats`.
+/// time and chunk counts. `plan` must be the same plan that produced
+/// `stats`.
 std::string ExplainAnalyze(const PlanPtr& plan, const ExecutionStats& stats);
-
-namespace internal {
-/// Forces the row-at-a-time executor regardless of columnar
-/// convertibility. Exposed for row-vs-vec parity tests only.
-Result<Table> ExecutePlanRowPath(const PlanPtr& plan, ExecutionStats* stats);
-}  // namespace internal
 
 /// Cost-based optimization (optimizer.h): selection pushdown, predicate
 /// ordering by estimated selectivity, projection pushdown, and join

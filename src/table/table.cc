@@ -68,8 +68,22 @@ std::string Schema::ToString() const {
 
 Table::Table(Schema schema, std::vector<Row> rows)
     : schema_(std::move(schema)), rows_(std::move(rows)) {
-  for (const Row& r : rows_) {
-    MDE_CHECK_EQ(r.size(), schema_.num_columns());
+  for (const Row& r : rows_) CheckRow(r);
+}
+
+namespace {
+
+bool CellFits(const Value& v, const ColumnSpec& col) {
+  return v.is_null() || v.type() == col.type;
+}
+
+}  // namespace
+
+void Table::CheckRow(const Row& row) const {
+  MDE_CHECK_EQ(row.size(), schema_.num_columns());
+  for (size_t c = 0; c < row.size(); ++c) {
+    MDE_CHECK_MSG(CellFits(row[c], schema_.column(c)),
+                  "cell type differs from declared column type");
   }
 }
 
@@ -96,7 +110,7 @@ const std::vector<Row>& Table::rows() const {
 }
 
 void Table::Append(Row row) {
-  MDE_CHECK_EQ(row.size(), schema_.num_columns());
+  CheckRow(row);
   EnsureRows();
   columnar_.reset();
   stats_.reset();
@@ -122,6 +136,8 @@ Result<Value> Table::At(size_t row, const std::string& column) const {
 void Table::Set(size_t row, size_t col, Value v) {
   MDE_CHECK_LT(row, num_rows());
   MDE_CHECK_LT(col, schema_.num_columns());
+  MDE_CHECK_MSG(CellFits(v, schema_.column(col)),
+                "cell type differs from declared column type");
   EnsureRows();
   columnar_.reset();
   stats_.reset();
@@ -145,11 +161,8 @@ Result<std::shared_ptr<const ColumnarTable>> Table::ToColumnar() const {
   }
   for (const Row& r : rows_) {
     for (size_t c = 0; c < builders.size(); ++c) {
-      if (!builders[c].AppendValue(r[c])) {
-        return Status::FailedPrecondition(
-            "cell type disagrees with declared column type for column " +
-            schema_.column(c).name + "; staying on the row path");
-      }
+      // Cannot fail: Append/Set/the constructor admit only fitting cells.
+      MDE_CHECK(builders[c].AppendValue(r[c]));
     }
   }
   std::vector<std::shared_ptr<const Column>> cols;

@@ -61,6 +61,12 @@ uint64_t NextContentVersion();
 /// In-memory relation. Rows are append-only through the public API;
 /// operators produce new tables.
 ///
+/// Typed: every non-null cell has exactly its column's declared type.
+/// Append, Set and the row constructor abort on a mismatched cell (no
+/// int64 -> double promotion); null is accepted in any column. Every table
+/// therefore converts to columnar form, and the columnar executor
+/// (vec_ops.h, driven by Query and ExecutePlan) is the only one.
+///
 /// Storage: a Table is either row-backed (vector of boxed rows, as built by
 /// Append) or columnar-backed — produced by the vectorized operator
 /// pipeline (columnar.h / vec_ops.h), in which case it carries a shared
@@ -82,8 +88,9 @@ class Table {
   const Row& row(size_t i) const;
   const std::vector<Row>& rows() const;
 
-  /// Appends a row; aborts if arity mismatches the schema. Detaches the
-  /// columnar representation (the blocks are immutable).
+  /// Appends a row; aborts if arity mismatches the schema or a non-null
+  /// cell's type differs from its column's. Detaches the columnar
+  /// representation (the blocks are immutable).
   void Append(Row row);
 
   /// Pre-sizes the row storage (cardinality-estimate reserve in operators).
@@ -93,21 +100,20 @@ class Table {
   Result<Value> At(size_t row, const std::string& column) const;
 
   /// In-place mutation used by the simulation layers that model agent state
-  /// as rows (Indemics node updates, SimSQL versions mutate copies).
+  /// as rows (Indemics node updates, SimSQL versions mutate copies). Aborts
+  /// on a non-null `v` whose type differs from the column's.
   void Set(size_t row, size_t col, Value v);
 
   /// The attached columnar representation, or nullptr for row-backed
-  /// tables. ColumnarTable::FromTable uses this to make Table -> columnar
-  /// conversion O(1) along the vectorized pipeline.
+  /// tables whose conversion is not cached yet.
   const std::shared_ptr<const ColumnarTable>& columnar() const {
     return columnar_;
   }
 
   /// Converts to a columnar representation and caches it on the table, so
   /// repeated scans of the same base table (plan execution, Query) convert
-  /// once. O(1) when already attached. Fails with FailedPrecondition if a
-  /// cell's runtime type disagrees with its declared column type (such
-  /// mixed-type tables stay on the row path). Mutates the cache under
+  /// once. O(1) when already attached. Never fails: the typed contract
+  /// above guarantees every cell fits its column. Mutates the cache under
   /// const — same single-thread caveat as lazy row materialization.
   Result<std::shared_ptr<const ColumnarTable>> ToColumnar() const;
 
@@ -141,6 +147,9 @@ class Table {
  private:
   /// Materializes rows_ from columnar_ if not yet done.
   void EnsureRows() const;
+  /// Aborts unless `row` has the schema's arity and every non-null cell
+  /// has its column's declared type.
+  void CheckRow(const Row& row) const;
 
   Schema schema_;
   mutable std::vector<Row> rows_;

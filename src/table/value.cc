@@ -22,22 +22,6 @@ const char* DataTypeName(DataType t) {
   return "?";
 }
 
-DataType Value::type() const {
-  switch (v_.index()) {
-    case 0:
-      return DataType::kNull;
-    case 1:
-      return DataType::kBool;
-    case 2:
-      return DataType::kInt64;
-    case 3:
-      return DataType::kDouble;
-    case 4:
-      return DataType::kString;
-  }
-  return DataType::kNull;
-}
-
 bool Value::AsBool() const {
   MDE_CHECK_MSG(std::holds_alternative<bool>(v_), "Value is not bool");
   return std::get<bool>(v_);

@@ -32,7 +32,9 @@ class Value {
   Value(const char* s) : v_(std::string(s)) {}  // NOLINT
 
   bool is_null() const { return std::holds_alternative<std::monostate>(v_); }
-  DataType type() const;
+  /// Inline: Table checks it on every appended cell. Relies on v_ listing
+  /// its alternatives in DataType order.
+  DataType type() const { return static_cast<DataType>(v_.index()); }
 
   /// Typed accessors; abort if the cell holds a different type.
   bool AsBool() const;

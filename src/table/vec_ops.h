@@ -14,6 +14,11 @@
 
 namespace mde::table {
 
+/// The relational operators of mde::table. Each one is specified by a
+/// row-at-a-time reference operator over boxed rows ("the row HashJoin"
+/// etc. below); those live in tests/reference_ops.h, where randomized
+/// differential tests hold the kernels to them cell for cell.
+
 /// Selection vector: ascending row indices into a ColumnarTable. Operators
 /// narrow selections instead of materializing intermediate row copies; a
 /// table is only compacted (gathered) when a pipeline stage genuinely needs
@@ -92,9 +97,8 @@ Result<std::shared_ptr<const ColumnarTable>> VecHashJoin(
     const std::vector<std::string>& left_keys,
     const std::vector<std::string>& right_keys, ThreadPool* pool);
 
-/// Theta join on `left.left_col <op> right.right_col` — the structured
-/// (and therefore vectorizable) form of NestedLoopJoin. Opaque row
-/// predicates stay on the row path. Chunk-parallel over left rows.
+/// Theta join on `left.left_col <op> right.right_col`. Chunk-parallel over
+/// left rows.
 Result<std::shared_ptr<const ColumnarTable>> VecNestedLoopJoin(
     const ColumnarTable& left, const std::string& left_col, CmpOp op,
     const ColumnarTable& right, const std::string& right_col,

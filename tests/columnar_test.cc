@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "reference_ops.h"
 #include "table/catalog.h"
 #include "table/columnar.h"
 #include "table/ops.h"
@@ -217,13 +218,22 @@ TEST(ColumnarTableTest, MutationDetachesColumnarRepresentation) {
   EXPECT_EQ(t.num_rows(), 2u);
 }
 
-TEST(ColumnarTableTest, MixedTypeColumnStaysOnRowPath) {
-  Table t{Schema({{"a", DataType::kInt64}})};
+TEST(ColumnarTableDeathTest, MismatchedCellIsRejected) {
+  // Append/Set/ctor reject a mismatched cell; null is accepted in any column.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const Schema schema({{"a", DataType::kInt64}});
+  Table t{schema};
   t.Append({Value(int64_t{1})});
-  t.Append({Value(2.5)});  // runtime double in a declared-int64 column
-  auto cols = t.ToColumnar();
-  EXPECT_FALSE(cols.ok());
-  EXPECT_EQ(cols.status().code(), StatusCode::kFailedPrecondition);
+  t.Append({Value()});
+  t.Set(0, 0, Value());
+  Table ok_rows(schema, {{Value(int64_t{2})}, {Value()}});
+  EXPECT_EQ(ok_rows.num_rows(), 2u);
+  const char* kMsg = "differs from declared column type";
+  EXPECT_DEATH(t.Append({Value(2.5)}), kMsg);  // no int64 -> double widening
+  EXPECT_DEATH(t.Set(1, 0, Value("x")), kMsg);
+  EXPECT_DEATH(Table(schema, {{Value(true)}}), kMsg);
+  // Every table that exists converts.
+  EXPECT_TRUE(t.ToColumnar().ok());
 }
 
 TEST(ColumnarTableTest, LazyRowMaterialization) {
@@ -418,32 +428,21 @@ TEST(ColumnarDifferentialTest, QueryChainMatchesRowComposition) {
   }
 }
 
-TEST(ColumnarDifferentialTest, RowFallbackStepsInterleaveWithColumnar) {
+TEST(ColumnarDifferentialTest, WhereThenDistinctMatchesRowComposition) {
   Rng rng(42);
   for (int iter = 0; iter < 40; ++iter) {
     Table t = RandomTable(rng, "c", 100);
     const std::string fcol = RandomColumn(rng, t, false);
-    // Opaque row predicate: forces the row path mid-chain.
-    auto idx = t.schema().IndexOf(fcol);
-    ASSERT_TRUE(idx.ok());
-    const size_t i = idx.value();
-    RowPredicate opaque = [i](const Row& r) { return !r[i].is_null(); };
-
-    const std::string fcol2 = RandomColumn(rng, t, false);
     const CmpOp op = RandomOp(rng);
     const Value lit = RandomLiteral(rng);
 
-    auto q = Query(t)
-                 .Where(fcol2, op, lit)  // columnar
-                 .WherePred(opaque)      // row fallback
-                 .Distinct()             // back to columnar
-                 .Execute();
+    auto q = Query(t).Where(fcol, op, lit).Distinct().Execute();
     ASSERT_TRUE(q.ok());
 
-    auto pred = ColumnCompare(t.schema(), fcol2, op, lit);
+    auto pred = ColumnCompare(t.schema(), fcol, op, lit);
     ASSERT_TRUE(pred.ok());
-    Table ref = Distinct(Filter(Filter(t, pred.value()), opaque));
-    ExpectTablesIdentical(ref, q.value(), "mixed-path chain");
+    Table ref = Distinct(Filter(t, pred.value()));
+    ExpectTablesIdentical(ref, q.value(), "where + distinct chain");
   }
 }
 

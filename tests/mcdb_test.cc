@@ -120,7 +120,11 @@ TEST(McdbTest, InstantiateRealizesStochasticTable) {
   const Table& sbp = inst.value().at("SBP_DATA");
   EXPECT_EQ(sbp.num_rows(), 50u);
   // Values look like draws around 120.
-  double mean = table::AvgColumn(sbp, "SBP").value();
+  double mean = table::Query(sbp)
+                    .GroupByAgg({}, {{table::AggKind::kAvg, "SBP", "mean"}})
+                    .ExecuteScalar()
+                    .value()
+                    .AsDouble();
   EXPECT_NEAR(mean, 120.0, 10.0);
 }
 
@@ -152,7 +156,12 @@ TEST(McdbTest, NaiveMonteCarloEstimatesQueryDistribution) {
   MonteCarloDb db = MakeSbpDb(120.0, 15.0, 200);
   // Query: average SBP over all patients.
   auto query = [](const DatabaseInstance& inst) -> Result<double> {
-    return table::AvgColumn(inst.at("SBP_DATA"), "SBP");
+    MDE_ASSIGN_OR_RETURN(
+        table::Value mean,
+        table::Query(inst.at("SBP_DATA"))
+            .GroupByAgg({}, {{table::AggKind::kAvg, "SBP", "mean"}})
+            .ExecuteScalar());
+    return mean.AsDouble();
   };
   auto samples = db.RunNaive(query, 50, 11);
   ASSERT_TRUE(samples.ok());

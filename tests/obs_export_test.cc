@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "mcdb/bundle.h"
+#include "obs/escape.h"
 #include "obs/export.h"
 #include "obs/mem.h"
 #include "obs/metrics.h"
@@ -181,6 +182,37 @@ TEST(ObsStatTest, ConvergenceMonitorVerdicts) {
 
   obs::ConvergenceMonitor nonfinite("");
   EXPECT_EQ(nonfinite.Add(std::nan("")), Verdict::kDiverged);
+}
+
+// ---------------------------------------------------------------------------
+// String escapers shared by every obs writer.
+// ---------------------------------------------------------------------------
+
+TEST(ObsEscapeTest, JsonAndLabelEscapes) {
+  struct Case {
+    std::string in;
+    std::string json;
+    std::string label;
+  };
+  const Case kCases[] = {
+      {"table.query", "table.query", "table.query"},
+      {"a\"b", "a\\\"b", "a\\\"b"},
+      {"a\\b", "a\\\\b", "a\\\\b"},
+      {"a\nb", "a b", "a\\nb"},
+      // Other control bytes, NUL included: spaces in JSON, verbatim in a
+      // label value (the exposition grammar escapes only \\, " and \n).
+      {std::string("\x01\t\r\x1f\0z", 6), "     z",
+       std::string("\x01\t\r\x1f\0z", 6)},
+      // Bytes >= 0x20 pass through, UTF-8 and DEL included.
+      {"\xc3\xa9\x7f ", "\xc3\xa9\x7f ", "\xc3\xa9\x7f "},
+  };
+  for (const Case& c : kCases) {
+    EXPECT_EQ(obs::JsonEscape(c.in), c.json) << c.in;
+    std::string appended = "prefix:";
+    obs::JsonEscapeInto(c.in, &appended);
+    EXPECT_EQ(appended, "prefix:" + c.json) << c.in;
+    EXPECT_EQ(obs::EscapeLabelValue(c.in), c.label) << c.in;
+  }
 }
 
 // ---------------------------------------------------------------------------

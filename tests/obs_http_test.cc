@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -188,19 +189,21 @@ TEST(ObsFatalChainTest, CrashHandlerChainsToPreviousAndDumps) {
 }
 
 TEST(ObsFatalChainTest, CrashWithDefaultDispositionDiesBySignal) {
-#if defined(__SANITIZE_THREAD__)
-#define MDE_TEST_TSAN 1
+#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
+#define MDE_TEST_SANITIZER_SEGV 1
 #elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define MDE_TEST_TSAN 1
+#if __has_feature(thread_sanitizer) || __has_feature(address_sanitizer)
+#define MDE_TEST_SANITIZER_SEGV 1
 #endif
 #endif
-#if defined(MDE_TEST_TSAN)
-  // TSan installs its own SEGV reporter that exits the process instead of
-  // letting the re-raised signal's default disposition kill it, so the
-  // WIFSIGNALED half of this test cannot hold under TSan. The chained
-  // variant above still runs (it exits via the marker handler first).
-  GTEST_SKIP() << "default-disposition death is replaced by TSan's reporter";
+#if defined(MDE_TEST_SANITIZER_SEGV)
+  // TSan and ASan install their own SEGV reporter that exits the process
+  // instead of letting the re-raised signal's default disposition kill it,
+  // so the WIFSIGNALED half of this test cannot hold under either. The
+  // chained variant above still runs (it exits via the marker handler
+  // first).
+  GTEST_SKIP()
+      << "default-disposition death is replaced by the sanitizer's reporter";
 #endif
   const std::string path = ::testing::TempDir() + "/obs_http_dfl_flight.json";
   std::remove(path.c_str());
@@ -252,20 +255,33 @@ TEST(DiagServerTest, ServesEndpointsWhileEngineRunsEightThreads) {
   // 8 threads of real engine work (bundle generation under QueryScopes)
   // while the scrape runs — the server reads side-band state only.
   std::atomic<bool> stop{false};
+  std::atomic<int> closed_scopes{0};
   std::vector<std::thread> workers;
   for (int t = 0; t < 8; ++t) {
-    workers.emplace_back([&stop, t] {
+    workers.emplace_back([&stop, &closed_scopes, t] {
       mcdb::MonteCarloDb db = MakeSbpDb(50);
       uint64_t rep = 0;
       while (!stop.load(std::memory_order_relaxed)) {
-        obs::QueryScope scope("test.scrape",
-                              0x9000u + static_cast<uint64_t>(t));
-        auto bundles = mcdb::GenerateBundles(db, db.stochastic_specs()[0],
-                                             "SBP", 4, /*seed=*/rep++,
-                                             /*pool=*/nullptr);
-        ASSERT_TRUE(bundles.ok());
+        {
+          obs::QueryScope scope("test.scrape",
+                                0x9000u + static_cast<uint64_t>(t));
+          auto bundles = mcdb::GenerateBundles(db, db.stochastic_specs()[0],
+                                               "SBP", 4, /*seed=*/rep++,
+                                               /*pool=*/nullptr);
+          ASSERT_TRUE(bundles.ok());
+        }
+        closed_scopes.fetch_add(1, std::memory_order_relaxed);
       }
     });
+  }
+  // /queryz lists a query once its first scope has opened; on a slow
+  // (sanitizer) build the scrape can otherwise run before any worker has
+  // built its database and got that far.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (closed_scopes.load(std::memory_order_relaxed) == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
   }
 
   int status = 0;

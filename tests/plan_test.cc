@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "reference_ops.h"
 #include "table/plan.h"
 
 namespace mde::table {
