@@ -24,8 +24,9 @@ import json
 import sys
 
 MIN_HIT_RATE = 0.9
-# A pure hit is a map lookup + one entry-mutex acquisition; even a loaded
-# CI runner should stay well under this.
+# A pure hit is one shard-mutex map lookup plus a seqlock read of the
+# entry's published statistic (no entry mutex); even a loaded CI runner
+# should stay well under this.
 MAX_HIT_P50_US = 100.0
 
 

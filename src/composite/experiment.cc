@@ -62,11 +62,13 @@ Result<ExperimentResult> RunExperiment(
       bound[params[c].name] = out.scaled_design(point, c);
     }
     RunningStat stat;
+    // Substream `rep` of this point's seed at iteration `rep`.
+    Rng substream(options.seed + point * 1000003ULL);
     for (size_t rep = 0; rep < options.replications; ++rep) {
-      Rng rng = Rng::Substream(
-          options.seed + point * 1000003ULL, rep);
+      Rng rng = substream;
       MDE_ASSIGN_OR_RETURN(double y, sim(bound, rng));
       stat.Add(y);
+      substream.Jump();
     }
     out.mean_response[point] = stat.mean();
     out.response_variance[point] = stat.variance();

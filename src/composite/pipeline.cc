@@ -29,13 +29,15 @@ Result<std::vector<double>> Pipeline::MonteCarlo(
     const std::vector<double>& input, size_t n, uint64_t seed) const {
   std::vector<double> outputs;
   outputs.reserve(n);
+  Rng substream(seed);  // substream `rep` of `seed` at iteration `rep`
   for (size_t rep = 0; rep < n; ++rep) {
-    Rng rng = Rng::Substream(seed, rep);
+    Rng rng = substream;
     MDE_ASSIGN_OR_RETURN(std::vector<double> out, Execute(input, rng));
     if (out.empty()) {
       return Status::FailedPrecondition("pipeline produced empty output");
     }
     outputs.push_back(out[0]);
+    substream.Jump();
   }
   return outputs;
 }

@@ -42,8 +42,11 @@ const table::Table* MonteCarloDb::FindTable(const std::string& name) const {
 
 Result<DatabaseInstance> MonteCarloDb::Instantiate(uint64_t seed,
                                                    uint64_t rep) const {
+  return Realize(Rng::Substream(seed, rep));
+}
+
+Result<DatabaseInstance> MonteCarloDb::Realize(Rng rng) const {
   DatabaseInstance instance = deterministic_;
-  Rng rng = Rng::Substream(seed, rep);
   for (const auto& spec : specs_) {
     const table::Table& outer = instance.at(spec.outer_table);
     table::Table realized(spec.output_schema);
@@ -68,10 +71,12 @@ Result<std::vector<double>> MonteCarloDb::RunNaive(const ScalarQuery& query,
                                                    uint64_t seed) const {
   std::vector<double> samples;
   samples.reserve(repetitions);
+  Rng substream(seed);  // substream `rep` of `seed` at iteration `rep`
   for (size_t rep = 0; rep < repetitions; ++rep) {
-    MDE_ASSIGN_OR_RETURN(DatabaseInstance instance, Instantiate(seed, rep));
+    MDE_ASSIGN_OR_RETURN(DatabaseInstance instance, Realize(substream));
     MDE_ASSIGN_OR_RETURN(double value, query(instance));
     samples.push_back(value);
+    substream.Jump();
   }
   return samples;
 }

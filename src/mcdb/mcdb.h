@@ -74,6 +74,9 @@ class MonteCarloDb {
   }
 
  private:
+  /// Instantiate() with the replication's generator already positioned.
+  Result<DatabaseInstance> Realize(Rng rng) const;
+
   DatabaseInstance deterministic_;
   std::vector<StochasticTableSpec> specs_;
 };

@@ -46,17 +46,24 @@ Result<CrnComparison> CompareWithCrn(
   RunningStat diff_crn;
   RunningCovariance paired;
   RunningStat a_ind, b_ind;
+  // Substream r of `seed`, and substream 2r of the independent seed, at
+  // iteration r.
+  Rng crn(seed);
+  Rng ind(seed + 0x9e3779b9);
   for (size_t r = 0; r < reps; ++r) {
     // CRN: both configurations replay substream r.
-    Rng rng_a = Rng::Substream(seed, r);
-    Rng rng_b = Rng::Substream(seed, r);
+    Rng rng_a = crn;
+    Rng rng_b = crn;
     const double ya = run(0, rng_a);
     const double yb = run(1, rng_b);
     diff_crn.Add(ya - yb);
     paired.Add(ya, yb);
-    // Independent baseline: disjoint substreams.
-    Rng rng_ai = Rng::Substream(seed + 0x9e3779b9, 2 * r);
-    Rng rng_bi = Rng::Substream(seed + 0x9e3779b9, 2 * r + 1);
+    crn.Jump();
+    // Independent baseline: disjoint substreams 2r and 2r + 1.
+    Rng rng_ai = ind;
+    ind.Jump();
+    Rng rng_bi = ind;
+    ind.Jump();
     a_ind.Add(run(0, rng_ai));
     b_ind.Add(run(1, rng_bi));
   }

@@ -1,15 +1,19 @@
 #ifndef MDE_SERVE_CACHE_H_
 #define MDE_SERVE_CACHE_H_
 
+#include <array>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
 
 #include "obs/stat.h"
+#include "util/rng.h"
 #include "util/status.h"
 
 /// CLT-bounded Monte Carlo result cache — the paper's result-caching idea
@@ -24,16 +28,28 @@
 ///   - a TIGHTER request spends only the incremental replications, resuming
 ///     the substream at index n (the cache never re-runs reps it has).
 ///
-/// Bit-identity contract: the value of replication i for a key must be a
-/// pure function of (key, i) — the caller's rep_fn derives an Rng substream
-/// from them. Top-ups Add draws sequentially in index order, so a
-/// cache-assembled answer at n reps is bit-identical to a fresh session
-/// running reps 0..n-1 itself. A per-entry mutex serializes top-ups: each
-/// replication index is computed exactly once per key, process-wide.
+/// Bit-identity contract: replication i of a key is handed the generator
+/// Rng::Substream(stream_seed, i), and its value must be a pure function of
+/// (key, i, that generator). Each entry keeps a cursor already positioned
+/// at substream n, so a top-up pays one Jump() per added rep rather than
+/// re-seeking from substream 0. Top-ups Add draws sequentially in index
+/// order, so a cache-assembled answer at n reps is bit-identical to a fresh
+/// session running reps 0..n-1 itself. A per-entry mutex serializes
+/// top-ups: each replication index is computed exactly once per resident
+/// entry (an entry evicted mid-top-up still answers its caller; a later
+/// request rebuilds the key from rep 0, with the same bits).
+///
+/// Every request costs O(1) in cached reps and resident entries:
+///   - the index is 16 mutex-striped shards, picked by the hash's high bits;
+///   - after each top-up the entry publishes (n, mean, half-width) through a
+///     seqlock, and a request that snapshot already satisfies is answered
+///     under the shard lock alone, taking neither the entry mutex nor a
+///     reference — so a looser-precision hit never queues behind a running
+///     top-up;
+///   - eviction pops the front of one list kept in last-touch-epoch order.
 ///
 /// Keys include the database version (serve/mvcc.h), so advancing the chain
-/// naturally starts new entries; old-version entries age out via the
-/// bytes x staleness eviction score.
+/// naturally starts new entries; old-version entries age out stalest-first.
 namespace mde::serve {
 
 /// Identity of one cacheable answer.
@@ -84,8 +100,10 @@ class ResultCache {
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
 
-  /// Runs replication `rep_index` (a pure function of the key and index).
-  using RepFn = std::function<Result<double>(uint64_t rep_index)>;
+  /// Runs replication `rep_index` with `rng` == Rng::Substream(stream_seed,
+  /// rep_index); the result must be a pure function of the key, the index
+  /// and that generator.
+  using RepFn = std::function<Result<double>(uint64_t rep_index, Rng rng)>;
 
   struct FetchResult {
     double estimate = 0.0;
@@ -99,34 +117,91 @@ class ResultCache {
   /// if that is reachable within max_reps, running at most the missing
   /// replications via `rep_fn`. At least min_reps replications always back
   /// the answer (a CLT bound needs n >= 2; callers choose higher floors).
-  /// On a rep_fn error the failed rep is not recorded and the error is
-  /// returned; reps already recorded stay cached.
-  Result<FetchResult> Fetch(const CacheKey& key, double target_half_width,
-                            uint64_t min_reps, uint64_t max_reps,
-                            const RepFn& rep_fn);
+  /// `stream_seed` names the replication substreams of `key`; every call
+  /// for one key must pass the same value (checked). On a rep_fn error the
+  /// failed rep is not recorded and the error is returned; reps already
+  /// recorded stay cached, and a retry hands the failed rep the same stream.
+  Result<FetchResult> Fetch(const CacheKey& key, uint64_t stream_seed,
+                            double target_half_width, uint64_t min_reps,
+                            uint64_t max_reps, const RepFn& rep_fn);
 
   /// Ages every entry one epoch — call when a new database version is
-  /// installed. Staleness (epochs since last touch) scales the eviction
-  /// score, so superseded-version entries go first.
+  /// installed. Eviction takes the entry touched longest ago first and
+  /// never one touched in the current epoch, so superseded-version entries
+  /// go first.
   void AdvanceEpoch();
 
   CacheStats stats() const;
 
  private:
+  struct Entry;
+  using EntryList = std::list<std::shared_ptr<Entry>>;
+
   struct Entry {
-    std::mutex mu;       // serializes top-ups for this key
-    obs::Welford stat;   // guarded by mu
-    uint64_t last_touch_epoch = 0;  // guarded by the cache mutex
+    Entry(const CacheKey& k, uint64_t seed)
+        : key(k), stream_seed(seed), cursor(seed) {}
+
+    const CacheKey key;
+    const uint64_t stream_seed;
+
+    std::mutex mu;      // serializes top-ups for this key
+    obs::Welford stat;  // guarded by mu
+    /// Guarded by mu; always Rng::Substream(stream_seed, stat.count()).
+    Rng cursor;
+
+    /// Seqlock-published (n, mean, half-width), written under mu after each
+    /// top-up: odd `seq` while a write is in progress.
+    std::atomic<uint64_t> seq{0};
+    std::atomic<uint64_t> pub_n{0};
+    std::atomic<double> pub_mean{0.0};
+    std::atomic<double> pub_half_width{0.0};
+
+    /// Written under lru_mu_; read without it to skip the lock on repeat
+    /// touches within an epoch.
+    std::atomic<uint64_t> last_touch_epoch{0};
+    bool resident = true;    // guarded by lru_mu_
+    EntryList::iterator pos;  // guarded by lru_mu_; valid while resident
   };
 
-  void EvictIfNeededLocked();
-  void PublishGauges() const;  // requires mu_ (reads counters_)
+  /// One stripe of the index. Aligned so that shard mutexes do not share
+  /// cache lines.
+  struct alignas(64) Shard {
+    std::mutex mu;
+    std::unordered_map<CacheKey, std::shared_ptr<Entry>, CacheKeyHash> map;
+  };
+  static constexpr int kShardBits = 4;
+  static constexpr size_t kShards = size_t{1} << kShardBits;
+
+  Shard& ShardFor(const CacheKey& key);
+  /// Creates the entry for `key` in `shard` (and evicts), or returns the
+  /// one another session created first; `*inserted` says which.
+  std::shared_ptr<Entry> Insert(Shard& shard, const CacheKey& key,
+                                uint64_t stream_seed, bool* inserted);
+  /// Fills `out` from the entry's published statistic; false on a torn read.
+  static bool ReadPublished(const Entry& entry, FetchResult* out);
+  void RecordPureHit(FetchResult* out);  // marks `out` and counts it
+  /// Moves `entry` to the back of the list on its first touch this epoch.
+  void Touch(Entry& entry);
+  void EvictIfNeededLocked();  // requires lru_mu_
+  void Publish(Entry& entry) const;  // requires entry.mu
 
   const Options opts_;
-  mutable std::mutex mu_;  // guards map_, epoch_, counters_
-  std::unordered_map<CacheKey, std::shared_ptr<Entry>, CacheKeyHash> map_;
-  uint64_t epoch_ = 0;
-  CacheStats counters_;
+  const size_t budget_entries_;
+  std::array<Shard, kShards> shards_;
+
+  /// Lock order: lru_mu_ before any shard mutex; entry mutexes are never
+  /// held together with either.
+  std::mutex lru_mu_;
+  EntryList lru_;  // guarded by lru_mu_; oldest last-touch epoch first
+  std::atomic<uint64_t> epoch_{0};  // written under lru_mu_
+  std::atomic<size_t> entries_{0};  // == lru_.size(), written under lru_mu_
+
+  std::atomic<uint64_t> pure_hits_{0};
+  std::atomic<uint64_t> topups_{0};
+  std::atomic<uint64_t> misses_{0};
+  std::atomic<uint64_t> reps_run_{0};
+  std::atomic<uint64_t> reps_saved_{0};
+  std::atomic<uint64_t> evictions_{0};
 };
 
 }  // namespace mde::serve

@@ -153,9 +153,8 @@ Result<Answer> Server::Execute(Session& session, const Request& req) {
       key.version);
   const McQuerySpec& spec = it->second;
   Result<ResultCache::FetchResult> fetched = cache_.Fetch(
-      key, req.target_half_width, opts_.min_reps, req.max_reps,
-      [&](uint64_t rep) -> Result<double> {
-        Rng rng = Rng::Substream(rep_seed, rep);
+      key, rep_seed, req.target_half_width, opts_.min_reps, req.max_reps,
+      [&](uint64_t, Rng rng) -> Result<double> {
         return spec.eval(snap.state(), req.params, rng);
       });
   if (!fetched.ok()) return fetched.status();

@@ -56,8 +56,10 @@ class Rng {
   void Jump();
 
   /// Returns a generator positioned at substream `index` relative to `seed`:
-  /// equivalent to seeding then calling Jump() `index` times, but documents
-  /// intent at call sites that fan out replications.
+  /// seeding then calling Jump() `index` times, so it costs O(index) jumps
+  /// of 256 steps each. A loop over replications 0..n-1 should step one
+  /// running generator with Jump() instead of calling this per rep, which
+  /// would be O(n^2).
   static Rng Substream(uint64_t seed, uint64_t index);
 
   /// The four Xoshiro256++ state words. Exporting and re-importing the

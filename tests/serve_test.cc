@@ -6,11 +6,15 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstring>
+#include <future>
 #include <limits>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -286,14 +290,15 @@ struct CountingRepFn {
 TEST(ResultCacheTest, LooserIsAHitTighterSpendsOnlyIncrementalReps) {
   ResultCache cache;
   CountingRepFn fn;
-  const ResultCache::RepFn rep_fn = [&fn](uint64_t rep) -> Result<double> {
+  const ResultCache::RepFn rep_fn = [&fn](uint64_t rep,
+                                          Rng) -> Result<double> {
     return fn(rep);
   };
   const CacheKey key{1, 2, 3};
 
   // Cold: no target pressure -> exactly min_reps run.
-  auto first = cache.Fetch(key, /*target=*/kInf, /*min_reps=*/8,
-                           /*max_reps=*/256, rep_fn);
+  auto first = cache.Fetch(key, /*stream_seed=*/77, /*target=*/kInf,
+                           /*min_reps=*/8, /*max_reps=*/256, rep_fn);
   ASSERT_TRUE(first.ok());
   EXPECT_EQ(first.value().reps, 8u);
   EXPECT_EQ(first.value().reps_added, 8u);
@@ -301,7 +306,7 @@ TEST(ResultCacheTest, LooserIsAHitTighterSpendsOnlyIncrementalReps) {
   EXPECT_TRUE(std::isfinite(first.value().half_width));
 
   // Same key, looser precision: pure hit, zero reps, same answer bits.
-  auto looser = cache.Fetch(key, first.value().half_width * 4.0, 8, 256,
+  auto looser = cache.Fetch(key, 77, first.value().half_width * 4.0, 8, 256,
                             rep_fn);
   ASSERT_TRUE(looser.ok());
   EXPECT_TRUE(looser.value().pure_hit);
@@ -312,7 +317,7 @@ TEST(ResultCacheTest, LooserIsAHitTighterSpendsOnlyIncrementalReps) {
 
   // Tighter: only the missing reps run, resuming at index 8.
   const double tight = first.value().half_width / 3.0;
-  auto tighter = cache.Fetch(key, tight, 8, 4096, rep_fn);
+  auto tighter = cache.Fetch(key, 77, tight, 8, 4096, rep_fn);
   ASSERT_TRUE(tighter.ok());
   EXPECT_FALSE(tighter.value().pure_hit);
   EXPECT_GT(tighter.value().reps, 8u);
@@ -347,12 +352,13 @@ TEST(ResultCacheTest, TinyNNeverClaimsPrecision) {
   // CLT half-width and must not satisfy any finite target.
   ResultCache cache;
   uint64_t runs = 0;
-  const ResultCache::RepFn rep_fn = [&runs](uint64_t) -> Result<double> {
+  const ResultCache::RepFn rep_fn = [&runs](uint64_t,
+                                            Rng) -> Result<double> {
     ++runs;
     return 5.0;
   };
-  auto r = cache.Fetch(CacheKey{9, 9, 9}, /*target=*/kInf, /*min_reps=*/0,
-                       /*max_reps=*/256, rep_fn);
+  auto r = cache.Fetch(CacheKey{9, 9, 9}, /*stream_seed=*/9, /*target=*/kInf,
+                       /*min_reps=*/0, /*max_reps=*/256, rep_fn);
   ASSERT_TRUE(r.ok());
   EXPECT_GE(r.value().reps, 2u);
 }
@@ -361,8 +367,11 @@ TEST(ResultCacheTest, RepErrorPropagatesAndKeepsEarlierReps) {
   ResultCache cache;
   std::atomic<bool> fail_at_5{true};
   uint64_t runs = 0;
+  std::vector<Rng::State> rep5_streams;
   const ResultCache::RepFn rep_fn =
-      [&fail_at_5, &runs](uint64_t rep) -> Result<double> {
+      [&fail_at_5, &runs, &rep5_streams](uint64_t rep,
+                                         Rng rng) -> Result<double> {
+    if (rep == 5) rep5_streams.push_back(rng.state());
     if (fail_at_5.load() && rep == 5) {
       return Status::Internal("transient rep failure");
     }
@@ -370,40 +379,303 @@ TEST(ResultCacheTest, RepErrorPropagatesAndKeepsEarlierReps) {
     return static_cast<double>(rep);
   };
   const CacheKey key{4, 5, 6};
-  auto broken = cache.Fetch(key, kInf, 8, 256, rep_fn);
+  constexpr uint64_t kSeed = 456;
+  auto broken = cache.Fetch(key, kSeed, kInf, 8, 256, rep_fn);
   ASSERT_FALSE(broken.ok());
   EXPECT_EQ(runs, 5u);
 
   // Retry after the fault clears: resumes at rep 5, reps 0..4 not re-run.
   fail_at_5.store(false);
-  auto fixed = cache.Fetch(key, kInf, 8, 256, rep_fn);
+  auto fixed = cache.Fetch(key, kSeed, kInf, 8, 256, rep_fn);
   ASSERT_TRUE(fixed.ok());
   EXPECT_EQ(fixed.value().reps, 8u);
   EXPECT_EQ(fixed.value().reps_added, 3u);
   EXPECT_EQ(runs, 8u);
+
+  // The failed rep did not advance the stream: both attempts at rep 5 got
+  // substream 5.
+  ASSERT_EQ(rep5_streams.size(), 2u);
+  for (const Rng::State& st : rep5_streams) {
+    EXPECT_EQ(st, Rng::Substream(kSeed, 5).state());
+  }
+}
+
+TEST(ResultCacheTest, RepIReceivesSubstreamI) {
+  // Across a cold fill and two top-ups, rep i is handed substream i of the
+  // key's stream seed, for every i below 4096.
+  ResultCache cache;
+  std::vector<Rng::State> seen;
+  const ResultCache::RepFn rep_fn = [&seen](uint64_t rep,
+                                            Rng rng) -> Result<double> {
+    EXPECT_EQ(rep, seen.size());
+    seen.push_back(rng.state());
+    return rng.NextDouble();
+  };
+  const CacheKey key{7, 7, 7};
+  ASSERT_TRUE(cache.Fetch(key, 77, kInf, 8, 8, rep_fn).ok());
+  ASSERT_TRUE(cache.Fetch(key, 77, /*target=*/0.0, 8, 100, rep_fn).ok());
+  auto last = cache.Fetch(key, 77, /*target=*/0.0, 8, 4096, rep_fn);
+  ASSERT_TRUE(last.ok());
+  EXPECT_EQ(last.value().reps, 4096u);
+  ASSERT_EQ(seen.size(), 4096u);
+  // Substream(77, i) is Rng(77) jumped i times; walk that reference once
+  // instead of re-seeking per index.
+  Rng want(77);
+  for (uint64_t i = 0; i < seen.size(); ++i) {
+    ASSERT_EQ(seen[i], want.state()) << "rep " << i;
+    want.Jump();
+  }
+  for (uint64_t i : {0u, 1u, 100u, 4095u}) {
+    EXPECT_EQ(seen[i], Rng::Substream(77, i).state()) << "rep " << i;
+  }
+}
+
+TEST(ResultCacheDeathTest, MismatchedStreamSeedForCachedKeyAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  ResultCache cache;
+  const ResultCache::RepFn rep_fn = [](uint64_t rep, Rng) -> Result<double> {
+    return static_cast<double>(rep);
+  };
+  const CacheKey key{3, 1, 4};
+  ASSERT_TRUE(cache.Fetch(key, /*stream_seed=*/11, kInf, 2, 8, rep_fn).ok());
+  EXPECT_DEATH((void)cache.Fetch(key, /*stream_seed=*/12, kInf, 2, 8, rep_fn),
+               "stream_seed");
 }
 
 TEST(ResultCacheTest, StaleEntriesEvictUnderByteBudget) {
   ResultCache::Options opts;
   opts.max_bytes = 2 * ResultCache::kEntryBytes;  // budget: 2 entries
   ResultCache cache(opts);
-  const ResultCache::RepFn rep_fn = [](uint64_t rep) -> Result<double> {
+  const ResultCache::RepFn rep_fn = [](uint64_t rep, Rng) -> Result<double> {
     return static_cast<double>(rep);
   };
-  ASSERT_TRUE(cache.Fetch(CacheKey{1, 0, 0}, kInf, 2, 8, rep_fn).ok());
-  ASSERT_TRUE(cache.Fetch(CacheKey{2, 0, 0}, kInf, 2, 8, rep_fn).ok());
+  ASSERT_TRUE(cache.Fetch(CacheKey{1, 0, 0}, 1, kInf, 2, 8, rep_fn).ok());
+  ASSERT_TRUE(cache.Fetch(CacheKey{2, 0, 0}, 2, kInf, 2, 8, rep_fn).ok());
   // Same epoch: nothing is stale, the budget may be transiently exceeded
   // rather than evicting what was just inserted.
-  ASSERT_TRUE(cache.Fetch(CacheKey{3, 0, 0}, kInf, 2, 8, rep_fn).ok());
+  ASSERT_TRUE(cache.Fetch(CacheKey{3, 0, 0}, 3, kInf, 2, 8, rep_fn).ok());
   EXPECT_EQ(cache.stats().evictions, 0u);
 
   // One epoch later the older keys are fair game.
   cache.AdvanceEpoch();
-  ASSERT_TRUE(cache.Fetch(CacheKey{4, 0, 0}, kInf, 2, 8, rep_fn).ok());
+  ASSERT_TRUE(cache.Fetch(CacheKey{4, 0, 0}, 4, kInf, 2, 8, rep_fn).ok());
   const serve::CacheStats stats = cache.stats();
   EXPECT_GT(stats.evictions, 0u);
   EXPECT_LE(stats.entries, 2u);
   EXPECT_LE(stats.bytes, opts.max_bytes);
+}
+
+TEST(ResultCacheTest, EvictsStalestEpochFirstAndNeverTheCurrentOne) {
+  ResultCache::Options opts;
+  opts.max_bytes = 2 * ResultCache::kEntryBytes;  // budget: 2 entries
+  ResultCache cache(opts);
+  const ResultCache::RepFn rep_fn = [](uint64_t rep, Rng) -> Result<double> {
+    return static_cast<double>(rep);
+  };
+  const auto fetch = [&](uint64_t id) {
+    auto r = cache.Fetch(CacheKey{id, 0, 0}, id, kInf, 2, 8, rep_fn);
+    EXPECT_TRUE(r.ok());
+    return r.ok() ? r.value() : ResultCache::FetchResult{};
+  };
+  const auto resident = [&](uint64_t id) { return fetch(id).pure_hit; };
+
+  fetch(1);  // epoch 0
+  fetch(2);  // epoch 0
+  cache.AdvanceEpoch();
+  // Touching 1 in epoch 1 makes 2, although inserted later, the stalest.
+  EXPECT_TRUE(resident(1));
+  fetch(3);  // over budget: 2 goes, 1 and 3 are current
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_TRUE(resident(1));
+  EXPECT_TRUE(resident(3));
+
+  // Re-inserting 2 finds only current-epoch entries: nothing is evicted,
+  // and the budget is exceeded until the epoch moves on.
+  EXPECT_FALSE(resident(2));
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(cache.stats().entries, 3u);
+
+  cache.AdvanceEpoch();
+  EXPECT_TRUE(resident(3));  // 3 moves to epoch 2; 1 and 2 stay in epoch 1
+  cache.AdvanceEpoch();
+  fetch(4);  // epoch 3: both epoch-1 entries go, epoch-2 entry 3 stays
+  EXPECT_EQ(cache.stats().evictions, 3u);
+  EXPECT_EQ(cache.stats().entries, 2u);
+  EXPECT_TRUE(resident(3));
+  EXPECT_TRUE(resident(4));
+}
+
+/// Blocks the calling thread until Open(); Wait* give up after a timeout so
+/// that a test fails instead of hanging.
+class Gate {
+ public:
+  void ArriveAndWait() {
+    std::unique_lock<std::mutex> lock(mu_);
+    arrived_ = true;
+    cv_.notify_all();
+    cv_.wait(lock, [this] { return open_; });
+  }
+  bool WaitForArrival() {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, std::chrono::seconds(10),
+                        [this] { return arrived_; });
+  }
+  void Open() {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool arrived_ = false;
+  bool open_ = false;
+};
+
+TEST(ResultCacheTest, LooserHitDoesNotWaitForRunningTopUp) {
+  ResultCache cache;
+  const CacheKey key{5, 5, 5};
+  Gate gate;
+  const ResultCache::RepFn rep_fn = [&gate](uint64_t rep,
+                                            Rng rng) -> Result<double> {
+    if (rep == 8) gate.ArriveAndWait();  // the top-up's first new rep
+    return rng.NextDouble();
+  };
+  auto warm = cache.Fetch(key, 5, kInf, 8, 8, rep_fn);
+  ASSERT_TRUE(warm.ok());
+
+  std::thread topup([&] {
+    auto r = cache.Fetch(key, 5, /*target=*/0.0, 8, 64, rep_fn);
+    EXPECT_TRUE(r.ok() && r.value().reps == 64u);
+  });
+  const bool arrived = gate.WaitForArrival();
+  std::future<Result<ResultCache::FetchResult>> looser;
+  bool answered = false;
+  if (arrived) {
+    looser = std::async(std::launch::async, [&] {
+      return cache.Fetch(key, 5, kInf, 8, 256, rep_fn);
+    });
+    answered = looser.wait_for(std::chrono::seconds(10)) ==
+               std::future_status::ready;
+  }
+  gate.Open();
+  topup.join();
+  ASSERT_TRUE(arrived) << "top-up never reached rep 8";
+  ASSERT_TRUE(answered) << "looser Fetch queued behind the running top-up";
+  auto r = looser.get();
+  ASSERT_TRUE(r.ok());
+  EXPECT_TRUE(r.value().pure_hit);
+  EXPECT_EQ(r.value().reps, 8u);
+  EXPECT_EQ(std::memcmp(&r.value().estimate, &warm.value().estimate,
+                        sizeof(double)),
+            0);
+}
+
+TEST(ResultCacheTest, EntryEvictedDuringTopUpAnswersAndRebuildsIdentically) {
+  // Exactly-once is per resident entry: an entry evicted while a top-up
+  // runs still answers that caller, and the next request for the key
+  // starts a new entry at rep 0 whose answer has the same bits.
+  ResultCache::Options opts;
+  opts.max_bytes = ResultCache::kEntryBytes;  // budget: 1 entry
+  ResultCache cache(opts);
+  const CacheKey key{6, 6, 6};
+  Gate gate;
+  std::atomic<bool> block{true};
+  std::vector<int> calls(8, 0);
+  const ResultCache::RepFn rep_fn = [&](uint64_t rep,
+                                        Rng rng) -> Result<double> {
+    if (rep == 4 && block.exchange(false)) gate.ArriveAndWait();
+    ++calls[rep];
+    return rng.NextDouble();
+  };
+
+  Result<ResultCache::FetchResult> first = Status::Internal("not run");
+  std::thread filler([&] { first = cache.Fetch(key, 6, kInf, 8, 8, rep_fn); });
+  const bool arrived = gate.WaitForArrival();
+  if (arrived) {
+    cache.AdvanceEpoch();
+    const ResultCache::RepFn other_fn = [](uint64_t rep,
+                                           Rng) -> Result<double> {
+      return static_cast<double>(rep);
+    };
+    EXPECT_TRUE(cache.Fetch(CacheKey{7, 7, 7}, 7, kInf, 2, 8, other_fn).ok());
+    EXPECT_EQ(cache.stats().evictions, 1u);  // `key`, mid-top-up
+    EXPECT_EQ(cache.stats().entries, 1u);
+  }
+  gate.Open();
+  filler.join();
+  ASSERT_TRUE(arrived) << "fill never reached rep 4";
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(first.value().reps, 8u);
+  EXPECT_EQ(first.value().reps_added, 8u);
+
+  auto rebuilt = cache.Fetch(key, 6, kInf, 8, 8, rep_fn);
+  ASSERT_TRUE(rebuilt.ok());
+  EXPECT_FALSE(rebuilt.value().pure_hit);
+  EXPECT_EQ(rebuilt.value().reps_added, 8u);
+  EXPECT_EQ(std::memcmp(&rebuilt.value().estimate, &first.value().estimate,
+                        sizeof(double)),
+            0);
+  EXPECT_EQ(std::memcmp(&rebuilt.value().half_width,
+                        &first.value().half_width, sizeof(double)),
+            0);
+  for (int c : calls) EXPECT_EQ(c, 2);  // once per resident entry
+}
+
+TEST(ResultCacheTest, ConcurrentFetchStressMatchesSequentialAnswers) {
+  // Four threads mix pure hits, top-ups, misses and evictions on a shared
+  // cache: 24 hot keys plus a stream of one-off keys against a 4-entry
+  // budget, with epochs advancing. Every answer must carry the bits of a
+  // sequential run over reps 0..n-1 of its key.
+  constexpr uint64_t kHotKeys = 24;
+  constexpr uint64_t kMaxReps = 48;
+  constexpr int kIters = 2000;
+  const auto expected = [](uint64_t seed, uint64_t n) {
+    obs::Welford w;
+    Rng stream(seed);
+    for (uint64_t i = 0; i < n; ++i) {
+      w.Add(Rng(stream).NextDouble());
+      stream.Jump();
+    }
+    return std::pair{w.mean(), n < 2 ? kInf : 1.959964 * w.std_error()};
+  };
+
+  ResultCache::Options opts;
+  opts.max_bytes = 4 * ResultCache::kEntryBytes;
+  ResultCache cache(opts);
+  const ResultCache::RepFn rep_fn = [](uint64_t, Rng rng) -> Result<double> {
+    return rng.NextDouble();
+  };
+  std::atomic<uint64_t> mismatches{0};
+  std::vector<std::thread> threads;
+  for (uint64_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      Rng pick(t);
+      for (int i = 0; i < kIters; ++i) {
+        if (t == 0 && i % 100 == 0) cache.AdvanceEpoch();
+        const uint64_t id = pick.NextDouble() < 0.2
+                                ? kHotKeys + t * kIters + i
+                                : pick.NextBounded(kHotKeys);
+        const uint64_t max_reps = 2 + pick.NextBounded(kMaxReps - 1);
+        const double target = pick.NextDouble() < 0.5 ? kInf : 0.0;
+        auto r = cache.Fetch(CacheKey{id, 0, 0}, 1000 + id, target, 2,
+                             max_reps, rep_fn);
+        if (!r.ok() || r.value().reps > kMaxReps ||
+            std::pair{r.value().estimate, r.value().half_width} !=
+                expected(1000 + id, r.value().reps)) {
+          mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+  const serve::CacheStats stats = cache.stats();
+  EXPECT_GT(stats.pure_hits, 0u);
+  EXPECT_GT(stats.topups, 0u);
+  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_EQ(stats.pure_hits + stats.topups + stats.misses, 4u * kIters);
 }
 
 // ---------------------------------------------------------------------------
