@@ -1,9 +1,9 @@
 /// Observability-layer microbenchmarks: the per-event cost of the obs
 /// primitives that ride inside every engine hot path, plus the end-to-end
 /// price of EXPLAIN ANALYZE profiling. The overhead GUARD for the engine
-/// itself (BM_OptimizedPlan / BM_ChainStep with obs compiled in vs
-/// -DMDE_OBS_DISABLED=ON) runs those benches from their own binaries in two
-/// build trees; results live in BENCH_obs.json.
+/// itself runs BM_OptimizedPlan / BM_ChainStep from their own binaries,
+/// same binary in both arms: attribution on vs MDE_OBS_ATTR=off, and the
+/// profiler at MDE_PROF_HZ=default vs unset. Results live in BENCH_obs.json.
 
 #include <cstdio>
 

@@ -16,6 +16,13 @@ acceptance contract, not a raw-speed number:
     is the MVCC + substream-seeding determinism contract.
   - hit_p50_us < miss_p50_us: a cache hit must be cheaper than a miss,
     and cheap in absolute terms — otherwise the cache is decorative.
+  - hit_p99_us < miss_p50_us: a hit's TAIL must also cost less than a
+    median miss. Both numbers come from the same run on the same machine,
+    so the ratio needs no cross-box baseline. This is the failure the
+    serving cache once had on multi-core runners: hits queued on the
+    index-wide lock and on the entry mutex a running top-up held, so hit
+    p99 (hundreds of us) exceeded miss p50 while hit p50 still looked
+    fine.
 
 Usage: check_bench_serve.py BENCH_serve.json   (exit 0 = pass)
 """
@@ -68,6 +75,14 @@ def main(argv):
     if hit_p50 > MAX_HIT_P50_US:
         failures.append("hit_p50 %.1f us > %.0f us" %
                         (hit_p50, MAX_HIT_P50_US))
+
+    hit_p99 = bench["hit_p99_us"]
+    print("hit_p99: %.1f us (must be < miss_p50 %.1f us)" %
+          (hit_p99, miss_p50))
+    if bench["misses"] > 0 and hit_p99 >= miss_p50:
+        failures.append("hit_p99 %.1f us >= miss_p50 %.1f us: a cache "
+                        "hit's tail costs more than a median miss" %
+                        (hit_p99, miss_p50))
 
     # Sanity: the cache must actually be saving work, not just passing
     # requests through.

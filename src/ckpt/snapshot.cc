@@ -24,7 +24,7 @@ void AppendU64(std::string* out, uint64_t v) {
 }
 
 bool TakeU32(std::string_view data, size_t* pos, uint32_t* out) {
-  if (*pos + 4 > data.size()) return false;
+  if (4 > data.size() - *pos) return false;
   uint32_t v = 0;
   for (int i = 0; i < 4; ++i) {
     v |= static_cast<uint32_t>(static_cast<uint8_t>(data[*pos + i]))
@@ -36,7 +36,7 @@ bool TakeU32(std::string_view data, size_t* pos, uint32_t* out) {
 }
 
 bool TakeU64(std::string_view data, size_t* pos, uint64_t* out) {
-  if (*pos + 8 > data.size()) return false;
+  if (8 > data.size() - *pos) return false;
   uint64_t v = 0;
   for (int i = 0; i < 8; ++i) {
     v |= static_cast<uint64_t>(static_cast<uint8_t>(data[*pos + i]))
@@ -50,7 +50,7 @@ bool TakeU64(std::string_view data, size_t* pos, uint64_t* out) {
 bool TakeString(std::string_view data, size_t* pos, std::string* out) {
   uint32_t len = 0;
   if (!TakeU32(data, pos, &len)) return false;
-  if (*pos + len > data.size()) return false;
+  if (len > data.size() - *pos) return false;
   out->assign(data.data() + *pos, len);
   *pos += len;
   return true;
@@ -119,7 +119,7 @@ void SectionWriter::PutBytes(const void* data, size_t n) {
 
 bool SectionReader::Take(void* out, size_t n) {
   if (!status_.ok()) return false;
-  if (pos_ + n > data_.size()) {
+  if (n > data_.size() - pos_) {
     Fail("section truncated");
     return false;
   }
@@ -174,7 +174,7 @@ Rng::State SectionReader::RngState() {
 
 std::vector<uint64_t> SectionReader::U64Vec() {
   const uint64_t n = U64();
-  if (!status_.ok() || n * 8 > remaining()) {
+  if (!status_.ok() || n > remaining() / 8) {
     Fail("vector length exceeds section");
     return {};
   }
@@ -190,7 +190,7 @@ std::vector<size_t> SectionReader::SizeVec() {
 
 std::vector<double> SectionReader::DoubleVec() {
   const uint64_t n = U64();
-  if (!status_.ok() || n * 8 > remaining()) {
+  if (!status_.ok() || n > remaining() / 8) {
     Fail("vector length exceeds section");
     return {};
   }
@@ -269,8 +269,9 @@ Result<SnapshotReader> SnapshotReader::Parse(std::string bytes) {
   for (uint32_t i = 0; i < count; ++i) {
     std::string name;
     uint64_t len = 0;
+    // Subtraction form: a wrapped `pos + len` must not pass the bound.
     if (!TakeString(data, &pos, &name) || !TakeU64(data, &pos, &len) ||
-        pos + len > data.size()) {
+        len > data.size() - pos) {
       return Status::InvalidArgument("checkpoint: truncated section");
     }
     r.sections_.push_back({std::move(name), pos, len});

@@ -24,8 +24,8 @@
 /// test in obs_export_test runs engines under a 10ms sampler across thread
 /// counts).
 ///
-/// Everything compiles (and links) under MDE_OBS_DISABLED; it simply
-/// observes an empty registry and emits valid empty documents.
+/// An empty registry still renders: every exporter emits a valid empty
+/// document.
 namespace mde::obs {
 
 /// Prometheus metric-name sanitization: every character outside

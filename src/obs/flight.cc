@@ -176,11 +176,6 @@ void FlightRecorder::ReleaseSlot(Slot* slot) {
   free_slots_.push_back(static_cast<uint32_t>(slot - slots_));
 }
 
-const char* FlightRecorder::InternName(const std::string& name) {
-  std::lock_guard<std::mutex> lock(intern_mu_);
-  return interned_names_.insert(name).first->c_str();  // set nodes are stable
-}
-
 void FlightRecorder::RecordSpanOpen(const char* name, uint64_t ts_ns,
                                     uint64_t trace_id, uint64_t span_id,
                                     uint64_t parent_span_id) {
@@ -202,12 +197,6 @@ void FlightRecorder::NoteContext(uint64_t trace_id, uint64_t fingerprint,
   s->ctx_trace_id.store(trace_id, std::memory_order_relaxed);
   s->ctx_fingerprint.store(fingerprint, std::memory_order_relaxed);
   s->ctx_tag.store(tag, std::memory_order_relaxed);
-}
-
-void FlightRecorder::SetCurrentThreadName(const std::string& name) {
-  Slot* s = SlotForThisThread();
-  if (s == nullptr) return;
-  s->name.store(InternName(name), std::memory_order_relaxed);
 }
 
 void FlightRecorder::AppendSlotsJson(std::string* out) const {

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdint>
 #include <mutex>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -54,9 +53,6 @@ class FlightRecorder {
   /// clears it). `tag` must be a string literal or interned.
   void NoteContext(uint64_t trace_id, uint64_t fingerprint, const char* tag);
 
-  /// Names the calling thread in dump output. Copies (interns) `name`.
-  void SetCurrentThreadName(const std::string& name);
-
   /// Renders the full live artifact `{"flight":{...}}` (contexts + spans +
   /// metrics snapshot) as one JSON document — exactly what DumpToFile
   /// writes; /flightz serves it without crashing anything.
@@ -82,6 +78,7 @@ class FlightRecorder {
 
  private:
   friend struct FlightSlotHandle;
+  friend void SetCurrentThreadName(const std::string& name);
 
   struct SpanRecord {
     std::atomic<const char*> name{nullptr};
@@ -97,14 +94,13 @@ class FlightRecorder {
     std::atomic<uint64_t> ctx_trace_id{0};
     std::atomic<uint64_t> ctx_fingerprint{0};
     std::atomic<const char*> ctx_tag{nullptr};
-    std::atomic<const char*> name{nullptr};  // interned thread name
+    std::atomic<const char*> name{nullptr};  // interned thread name (trace.h)
   };
 
   FlightRecorder() = default;
 
   Slot* SlotForThisThread();
   void ReleaseSlot(Slot* slot);
-  const char* InternName(const std::string& name);
   /// Renders the slot state (contexts + spans arrays) into `os`-style
   /// appends on a std::string; shared by the normal dump path.
   void AppendSlotsJson(std::string* out) const;
@@ -113,8 +109,6 @@ class FlightRecorder {
   std::atomic<uint32_t> high_water_{0};  // slots ever handed out
   std::mutex free_mu_;
   std::vector<uint32_t> free_slots_;
-  std::mutex intern_mu_;
-  std::set<std::string> interned_names_;
 };
 
 }  // namespace mde::obs

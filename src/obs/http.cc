@@ -15,16 +15,12 @@
 #include "obs/profiler.h"
 #include "obs/trace.h"
 
-#ifndef MDE_OBS_DISABLED
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
-#endif
 
 namespace mde::obs {
-
-#ifndef MDE_OBS_DISABLED
 
 namespace {
 
@@ -49,16 +45,25 @@ void HtmlEscapeInto(const std::string& s, std::string* out) {
   }
 }
 
+/// Value of one hex digit, or -1.
+int HexDigit(char c) {
+  if (c >= '0' && c <= '9') return c - '0';
+  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
+  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
+  return -1;
+}
+
+/// Decodes `%XY` (exactly two hex digits) and '+'; any other '%' is kept
+/// literally.
 std::string UrlDecode(const std::string& s) {
   std::string out;
   out.reserve(s.size());
   for (size_t i = 0; i < s.size(); ++i) {
     if (s[i] == '%' && i + 2 < s.size()) {
-      char hex[3] = {s[i + 1], s[i + 2], '\0'};
-      char* end = nullptr;
-      const long v = std::strtol(hex, &end, 16);
-      if (end == hex + 2) {
-        out.push_back(static_cast<char>(v));
+      const int hi = HexDigit(s[i + 1]);
+      const int lo = HexDigit(s[i + 2]);
+      if (hi >= 0 && lo >= 0) {
+        out.push_back(static_cast<char>(hi * 16 + lo));
         i += 2;
         continue;
       }
@@ -644,37 +649,5 @@ DiagServer* DiagServer::MaybeStartFromEnv() {
   }();
   return server;
 }
-
-#else  // MDE_OBS_DISABLED
-
-uint64_t RegisterDiagHandler(const std::string&, DiagHandler,
-                             const std::string&) {
-  // Accepted (ids stay unique so Unregister round-trips) but never served:
-  // there is no server in this build.
-  static std::atomic<uint64_t> next{1};
-  return next.fetch_add(1, std::memory_order_relaxed);
-}
-
-void UnregisterDiagHandler(uint64_t) {}
-
-std::string DiagQueryParam(const std::string&, const std::string&) {
-  return "";
-}
-
-std::string DiagServer::Request::Param(const std::string&) const {
-  return "";
-}
-
-DiagServer::DiagServer() = default;
-DiagServer::~DiagServer() = default;
-bool DiagServer::Start(uint16_t) { return false; }
-void DiagServer::Stop() {}
-void DiagServer::AcceptLoop() {}
-void DiagServer::HandlerLoop() {}
-void DiagServer::HandleConnection(int) {}
-DiagServer::Response DiagServer::Route(const Request&) { return {}; }
-DiagServer* DiagServer::MaybeStartFromEnv() { return nullptr; }
-
-#endif  // MDE_OBS_DISABLED
 
 }  // namespace mde::obs

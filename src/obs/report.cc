@@ -46,11 +46,17 @@ struct Json {
 
 class JsonParser {
  public:
+  /// Object/array nesting bound. obs writes at most ~4 levels (trace
+  /// events, flight contexts); past the bound parsing fails instead of
+  /// recursing until the stack overflows.
+  static constexpr int kMaxDepth = 64;
+
   explicit JsonParser(const std::string& text) : s_(text) {}
 
   bool Parse(Json* out, std::string* error) {
     ok_ = true;
     pos_ = 0;
+    depth_ = 0;
     ParseValue(out);
     SkipSpace();
     if (ok_ && pos_ != s_.size()) Fail("trailing characters");
@@ -96,10 +102,18 @@ class JsonParser {
       return;
     }
     const char c = s_[pos_];
-    if (c == '{') {
-      ParseObject(out);
-    } else if (c == '[') {
-      ParseArray(out);
+    if (c == '{' || c == '[') {
+      if (depth_ == kMaxDepth) {
+        Fail("nesting too deep");
+        return;
+      }
+      ++depth_;
+      if (c == '{') {
+        ParseObject(out);
+      } else {
+        ParseArray(out);
+      }
+      --depth_;
     } else if (c == '"') {
       out->type = Json::Type::kString;
       ParseString(&out->str);
@@ -207,6 +221,7 @@ class JsonParser {
 
   const std::string& s_;
   size_t pos_ = 0;
+  int depth_ = 0;
   bool ok_ = true;
   std::string err_;
 };

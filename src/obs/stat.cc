@@ -10,14 +10,9 @@ namespace mde::obs {
 
 namespace {
 
-/// Resolves a gauge handle, or nullptr for the empty name / disabled build.
+/// Resolves a gauge handle, or nullptr for the empty name.
 Gauge* MaybeGauge(const std::string& name) {
-#ifndef MDE_OBS_DISABLED
-  if (!name.empty()) return Registry::Global().gauge(name);
-#else
-  (void)name;
-#endif
-  return nullptr;
+  return name.empty() ? nullptr : Registry::Global().gauge(name);
 }
 
 }  // namespace

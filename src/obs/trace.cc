@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdio>
 #include <map>
+#include <set>
 #include <sstream>
 
 #include "obs/context.h"
@@ -16,6 +17,16 @@ namespace {
 
 thread_local uint32_t tls_span_depth = 0;
 thread_local bool tls_thread_named = false;
+
+/// The one thread-name table: each distinct name is copied here once, and
+/// the trace lane and the flight slot store the same stable pointer. Leaked
+/// so names stay valid for dumps written during static destruction.
+const char* InternThreadName(const std::string& name) {
+  static std::mutex* mu = new std::mutex;
+  static std::set<std::string>* names = new std::set<std::string>;
+  std::lock_guard<std::mutex> lock(*mu);
+  return names->insert(name).first->c_str();  // set nodes are stable
+}
 
 }  // namespace
 
@@ -38,7 +49,7 @@ struct Tracer::ThreadBuffer {
   size_t head = 0;               // index of the oldest retained event
   size_t count = 0;              // retained events (<= kRingCapacity)
   uint32_t tid = 0;
-  std::string name;  // lane name for Chrome metadata ("" = unnamed)
+  const char* name = nullptr;  // interned lane name (nullptr = unnamed)
 };
 
 Tracer& Tracer::Global() {
@@ -84,12 +95,6 @@ void Tracer::Record(const char* name, uint64_t ts_ns, uint64_t dur_ns,
   }
 }
 
-void Tracer::SetCurrentThreadName(const std::string& name) {
-  ThreadBuffer* buf = BufferForThisThread();
-  std::lock_guard<std::mutex> lock(buf->mu);
-  buf->name = name;
-}
-
 std::vector<TraceEvent> Tracer::Collect() const {
   std::vector<TraceEvent> out;
   {
@@ -128,7 +133,7 @@ void Tracer::WriteChromeTrace(std::ostream& os) const {
   const std::vector<TraceEvent> events = Collect();
   // Thread lane names for "ph":"M" metadata (every registered buffer, even
   // ones with no retained events — a named idle worker still gets a lane).
-  std::vector<std::pair<uint32_t, std::string>> lanes;
+  std::vector<std::pair<uint32_t, const char*>> lanes;
   {
     std::lock_guard<std::mutex> lock(mu_);
     lanes.reserve(buffers_.size());
@@ -146,7 +151,7 @@ void Tracer::WriteChromeTrace(std::ostream& os) const {
   for (const auto& [tid, name] : lanes) {
     os << ",{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":" << tid
        << ",\"args\":{\"name\":\"";
-    if (name.empty()) {
+    if (name == nullptr) {
       os << "thread-" << tid;
     } else {
       os << JsonEscape(name);
@@ -283,8 +288,14 @@ SpanGuard::~SpanGuard() {
 
 void SetCurrentThreadName(const std::string& name) {
   tls_thread_named = true;
-  Tracer::Global().SetCurrentThreadName(name);
-  FlightRecorder::Global().SetCurrentThreadName(name);
+  const char* interned = InternThreadName(name);
+  Tracer::ThreadBuffer* buf = Tracer::Global().BufferForThisThread();
+  {
+    std::lock_guard<std::mutex> lock(buf->mu);
+    buf->name = interned;
+  }
+  FlightRecorder::Slot* slot = FlightRecorder::Global().SlotForThisThread();
+  if (slot != nullptr) slot->name.store(interned, std::memory_order_relaxed);
 }
 
 void EnsureCurrentThreadNamed(const char* fallback) {

@@ -66,10 +66,6 @@ class Tracer {
               uint32_t depth, uint64_t trace_id = 0, uint64_t span_id = 0,
               uint64_t parent_span_id = 0);
 
-  /// Names the calling thread's lane in Chrome trace output ("worker-3",
-  /// "driver"); copies `name`. Unnamed threads render as "thread-<tid>".
-  void SetCurrentThreadName(const std::string& name);
-
   /// Drains a copy of every thread's retained events, oldest-first within a
   /// thread, sorted globally by start time. Includes events recorded by
   /// threads that have since exited.
@@ -98,6 +94,7 @@ class Tracer {
 
  private:
   struct ThreadBuffer;
+  friend void SetCurrentThreadName(const std::string& name);
 
   Tracer() = default;
   ThreadBuffer* BufferForThisThread();
@@ -134,8 +131,9 @@ class SpanGuard {
 };
 
 /// Names the calling thread everywhere it appears: Chrome trace lanes and
-/// flight-recorder dumps. Copies `name`; call once per thread (workers call
-/// it on start; the first QueryScope on an unnamed thread applies
+/// flight-recorder dumps. Interns `name` once; both store the same pointer.
+/// Unnamed threads render as "thread-<tid>". Call once per thread (workers
+/// call it on start; the first QueryScope on an unnamed thread applies
 /// "driver").
 void SetCurrentThreadName(const std::string& name);
 /// SetCurrentThreadName(fallback) if this thread was never named (cheap:
@@ -144,21 +142,11 @@ void EnsureCurrentThreadNamed(const char* fallback);
 
 }  // namespace mde::obs
 
-#ifndef MDE_OBS_DISABLED
-
 #define MDE_OBS_CONCAT_INNER(a, b) a##b
 #define MDE_OBS_CONCAT(a, b) MDE_OBS_CONCAT_INNER(a, b)
 /// Opens a span covering the rest of the enclosing scope. `name` must be a
 /// string literal (or otherwise outlive the tracer).
 #define MDE_TRACE_SPAN(name) \
   ::mde::obs::SpanGuard MDE_OBS_CONCAT(_mde_trace_span_, __LINE__)(name)
-
-#else  // MDE_OBS_DISABLED
-
-#define MDE_TRACE_SPAN(name) \
-  do {                       \
-  } while (0)
-
-#endif  // MDE_OBS_DISABLED
 
 #endif  // MDE_OBS_TRACE_H_

@@ -153,8 +153,8 @@ class ThreadPool {
   std::condition_variable task_ready_;
   std::mutex wait_mu_;
   std::condition_variable all_done_;
-  /// Sampler-hook registration publishing per-worker queue_depth gauges
-  /// (0 = none registered). Unregistered FIRST in the destructor — the
+  /// Sampler-hook registration publishing per-worker queue_depth gauges.
+  /// Unregistered FIRST in the destructor — the
   /// hook runner blocks unregistration until in-flight hooks finish, so a
   /// hook can never observe a dying pool.
   uint64_t sample_hook_id_ = 0;

@@ -1,6 +1,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -168,6 +169,188 @@ TEST(SnapshotTest, AtomicFileWriteRoundTrips) {
   EXPECT_EQ(back.value(), bytes);
   std::remove(path.c_str());
   EXPECT_EQ(ReadFile(path).status().code(), StatusCode::kNotFound);
+}
+
+/// Overwrites the little-endian u64 at `offset`.
+void PatchU64(std::string* bytes, size_t offset, uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    (*bytes)[offset + i] = static_cast<char>((v >> (8 * i)) & 0xff);
+  }
+}
+
+/// Re-computes the trailing CRC so a mutated body reaches the parser
+/// instead of stopping at the checksum.
+void RestampCrc(std::string* bytes) {
+  if (bytes->size() < 4) return;
+  const size_t body = bytes->size() - 4;
+  const uint32_t crc = Crc32(bytes->data(), body);
+  for (int i = 0; i < 4; ++i) {
+    (*bytes)[body + i] = static_cast<char>((crc >> (8 * i)) & 0xff);
+  }
+}
+
+TEST(SnapshotTest, RejectsSectionLengthThatWrapsTheOffset) {
+  SnapshotWriter w("unit");
+  w.AddSection("s")->PutU64(7);
+  std::string bytes = w.Finish();
+  // magic(8) version(4) engine(4+4) count(4) name(4+1): the payload length
+  // sits at 29. pos + len wraps past 2^64 to a value below the body size.
+  PatchU64(&bytes, 29, ~uint64_t{0});
+  RestampCrc(&bytes);
+  auto snap = SnapshotReader::Parse(bytes);
+  ASSERT_FALSE(snap.ok());
+  EXPECT_EQ(snap.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(SnapshotTest, VectorLengthThatOverflowsBytesLatchesError) {
+  // n * 8 wraps to 0 for n = 2^61; the reader must fail, not allocate.
+  SnapshotWriter w("unit");
+  SectionWriter* s = w.AddSection("s");
+  s->PutU64(uint64_t{1} << 61);
+  s->PutU64(0);
+  s->PutU64(0);
+  auto snap = SnapshotReader::Parse(w.Finish());
+  ASSERT_TRUE(snap.ok());
+  auto u = snap.value().section("s");
+  ASSERT_TRUE(u.ok());
+  EXPECT_TRUE(u.value().U64Vec().empty());
+  EXPECT_FALSE(u.value().status().ok());
+  auto d = snap.value().section("s");
+  ASSERT_TRUE(d.ok());
+  EXPECT_TRUE(d.value().DoubleVec().empty());
+  EXPECT_FALSE(d.value().status().ok());
+}
+
+/// Decodes every section of a fuzz snapshot with the schema it was written
+/// with, then reads typed values off a second reader in an order the seed
+/// picks. Either way the reader must latch a Status, never abort.
+void DecodeFuzzSnapshot(const SnapshotReader& snap, Rng* rng) {
+  if (auto r = snap.section("header"); r.ok()) {
+    r.value().U32();
+    r.value().String();
+    r.value().I64();
+    r.value().Bool();
+    (void)r.value().ExpectEnd();
+  }
+  if (auto r = snap.section("u64vec"); r.ok()) {
+    r.value().U64Vec();
+    (void)r.value().ExpectEnd();
+  }
+  if (auto r = snap.section("dvec"); r.ok()) {
+    r.value().DoubleVec();
+    (void)r.value().ExpectEnd();
+  }
+  if (auto r = snap.section("svec"); r.ok()) {
+    r.value().SizeVec();
+    (void)r.value().ExpectEnd();
+  }
+  if (auto r = snap.section("rng"); r.ok()) {
+    r.value().RngState();
+    r.value().Double();
+    (void)r.value().ExpectEnd();
+  }
+  for (const char* name : {"header", "u64vec", "dvec", "svec", "rng"}) {
+    auto r = snap.section(name);
+    if (!r.ok()) continue;
+    for (int i = 0; i < 8; ++i) {
+      switch (rng->Next() % 6) {
+        case 0: r.value().U8(); break;
+        case 1: r.value().U64(); break;
+        case 2: r.value().String(); break;
+        case 3: r.value().U64Vec(); break;
+        case 4: r.value().DoubleVec(); break;
+        default: r.value().RngState(); break;
+      }
+    }
+    (void)r.value().ExpectEnd();
+  }
+}
+
+TEST(SnapshotFuzzTest, SeededMutationsEndInStatus) {
+  SnapshotWriter w("fuzz");
+  SectionWriter* header = w.AddSection("header");
+  header->PutU32(3);
+  header->PutString("chain");
+  header->PutI64(-9);
+  header->PutBool(true);
+  w.AddSection("u64vec")->PutU64Vec({1, 2, 3, 4});
+  w.AddSection("dvec")->PutDoubleVec({0.5, -1.25, 3.0});
+  w.AddSection("svec")->PutSizeVec({7, 8});
+  SectionWriter* rng_section = w.AddSection("rng");
+  rng_section->PutRngState(Rng(11).state());
+  rng_section->PutDouble(2.5);
+  const std::string valid = w.Finish();
+  ASSERT_TRUE(SnapshotReader::Parse(valid).ok());
+
+  // Every length field of the valid snapshot: engine-name and section-count
+  // u32s, each section's name u32 and payload u64, and the vector counts
+  // (each vector section starts with its u64 count).
+  struct Field {
+    size_t offset;
+    int width;
+  };
+  std::vector<Field> fields{{12, 4}};
+  size_t pos = 16 + 4;  // engine "fuzz"
+  fields.push_back({pos, 4});
+  pos += 4;
+  for (const char* name : {"header", "u64vec", "dvec", "svec", "rng"}) {
+    fields.push_back({pos, 4});
+    pos += 4 + std::strlen(name);
+    fields.push_back({pos, 8});
+    uint64_t len = 0;
+    std::memcpy(&len, valid.data() + pos, 8);
+    pos += 8;
+    if (std::strstr(name, "vec") != nullptr) fields.push_back({pos, 8});
+    pos += len;
+  }
+  ASSERT_EQ(pos + 4, valid.size());
+
+  Rng rng(20261017);
+  int parsed = 0;
+  for (int round = 0; round < 3000; ++round) {
+    std::string bytes = valid;
+    switch (round % 3) {
+      case 0: {  // flip 1-4 bits anywhere before the CRC
+        const int flips = 1 + static_cast<int>(rng.Next() % 4);
+        for (int i = 0; i < flips; ++i) {
+          const size_t at = rng.Next() % (bytes.size() - 4);
+          bytes[at] ^= static_cast<char>(1u << (rng.Next() % 8));
+        }
+        break;
+      }
+      case 1:  // truncate, then re-stamp over the shorter body
+        bytes.resize(rng.Next() % bytes.size());
+        break;
+      default: {  // rewrite one length field with an edge or random value
+        const Field& f = fields[rng.Next() % fields.size()];
+        const uint64_t edges[] = {0,
+                                  1,
+                                  valid.size() - f.offset,
+                                  valid.size(),
+                                  uint64_t{1} << 31,
+                                  uint64_t{0xffffffff},
+                                  uint64_t{1} << 61,
+                                  (uint64_t{1} << 61) + 1,
+                                  uint64_t{1} << 63,
+                                  ~uint64_t{0} - f.offset,
+                                  ~uint64_t{0},
+                                  rng.Next()};
+        const uint64_t v = edges[rng.Next() % std::size(edges)];
+        for (int i = 0; i < f.width; ++i) {
+          bytes[f.offset + i] = static_cast<char>((v >> (8 * i)) & 0xff);
+        }
+        break;
+      }
+    }
+    RestampCrc(&bytes);
+    auto snap = SnapshotReader::Parse(bytes);
+    if (!snap.ok()) continue;
+    ++parsed;
+    DecodeFuzzSnapshot(snap.value(), &rng);
+  }
+  // Bit flips inside payloads leave the container valid, so some rounds
+  // must reach the section decoders.
+  EXPECT_GT(parsed, 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@
 #include "obs/metrics.h"
 #include "obs/report.h"
 #include "obs/trace.h"
+#include "obs_test_util.h"
 #include "simsql/simsql.h"
 #include "util/distributions.h"
 #include "util/thread_pool.h"
@@ -118,6 +119,7 @@ TEST(ObsContextTest, InactiveByDefault) {
 }
 
 TEST(ObsContextTest, QueryScopeInstallsAndRestores) {
+  const ScopedAttribution attribution;
   {
     MDE_OBS_QUERY_SCOPE("test.scope", 0x1234u);
     const obs::Context& ctx = obs::CurrentContext();
@@ -130,6 +132,7 @@ TEST(ObsContextTest, QueryScopeInstallsAndRestores) {
 }
 
 TEST(ObsContextTest, KillSwitchMakesQueryScopeNoOp) {
+  const ScopedAttribution attribution;
   ASSERT_TRUE(obs::AttributionEnabled());
   obs::SetAttributionEnabled(false);
   {
@@ -197,6 +200,7 @@ TEST(ObsContextTest, ContextPropagatesThroughNestedParallelFor) {
 }
 
 TEST(ObsContextTest, TaskCountsAttributed) {
+  const ScopedAttribution attribution;
   obs::AttributionTable::Global().Reset();
   ThreadPool pool(2);
   obs::QueryStats* stats = nullptr;
@@ -215,6 +219,7 @@ TEST(ObsContextTest, TaskCountsAttributed) {
 // ---------------------------------------------------------------------------
 
 TEST(ObsContextTest, SpanParentageAndContainmentAcrossPool) {
+  const ScopedAttribution attribution;
   obs::Tracer& tracer = obs::Tracer::Global();
   tracer.Enable();
   ThreadPool pool(4);
@@ -337,6 +342,7 @@ TEST(ObsContextTest, BundleGenerationBitIdenticalAcrossThreadCounts) {
 // ---------------------------------------------------------------------------
 
 TEST(ObsContextTest, CpuNsReconcilesWithGlobalCounter) {
+  const ScopedAttribution attribution;
   obs::AttributionTable::Global().Reset();
   const double before = CounterValue("attr.cpu_ns");
   {
@@ -365,6 +371,7 @@ TEST(ObsContextTest, CpuNsReconcilesWithGlobalCounter) {
 }
 
 TEST(ObsContextTest, AttributionRowsCarryEngineResources) {
+  const ScopedAttribution attribution;
   obs::AttributionTable::Global().Reset();
   ThreadPool pool(2);
   mcdb::MonteCarloDb db = MakeSbpDb(600);
@@ -389,6 +396,7 @@ TEST(ObsContextTest, AttributionRowsCarryEngineResources) {
 }
 
 TEST(ObsContextTest, AttributionTableBoundedWithEviction) {
+  const ScopedAttribution attribution;
   obs::AttributionTable& table = obs::AttributionTable::Global();
   table.Reset();
   const uint64_t table_evictions_before = table.evictions();
@@ -442,6 +450,7 @@ TEST(ObsContextTest, WorkerQueueDepthSnapshot) {
 }
 
 TEST(ObsContextTest, PrometheusExportsQueueDepthAndAttribution) {
+  const ScopedAttribution attribution;
   obs::AttributionTable::Global().Reset();
   ThreadPool pool(2);
   {
@@ -463,6 +472,7 @@ TEST(ObsContextTest, PrometheusExportsQueueDepthAndAttribution) {
 }
 
 TEST(ObsContextTest, SamplerJsonlCarriesQueriesAndReportRendersThem) {
+  const ScopedAttribution attribution;
   obs::AttributionTable::Global().Reset();
   const std::string path = ::testing::TempDir() + "/obs_ctx_metrics.jsonl";
   std::remove(path.c_str());
@@ -497,6 +507,7 @@ TEST(ObsContextTest, SamplerJsonlCarriesQueriesAndReportRendersThem) {
 // ---------------------------------------------------------------------------
 
 TEST(ObsContextTest, FlightDumpParsesViaReport) {
+  const ScopedAttribution attribution;
   const std::string path = ::testing::TempDir() + "/obs_ctx_flight.json";
   std::remove(path.c_str());
   {

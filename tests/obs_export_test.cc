@@ -280,8 +280,6 @@ TEST(ObsExportTest, AppendDerivedGaugesPairsMemCounters) {
   EXPECT_DOUBLE_EQ(snapshot[2].value, 600.0);
 }
 
-#ifndef MDE_OBS_DISABLED
-
 TEST(ObsExportTest, GlobalPrometheusHasCumulativeBuckets) {
   obs::Histogram* h = Registry::Global().histogram(
       "test.prom_hist", {1.0, 10.0, 100.0});
@@ -476,8 +474,6 @@ TEST(ObsWiringTest, SmcEssGaugeMatchesLastStepStats) {
   EXPECT_DOUBLE_EQ(gauge, pf.step_stats().back().ess);
 }
 
-#endif  // MDE_OBS_DISABLED
-
 // ---------------------------------------------------------------------------
 // Histogram quantiles + run report.
 // ---------------------------------------------------------------------------
@@ -591,6 +587,102 @@ TEST(ObsReportTest, MalformedInputsFail) {
   EXPECT_FALSE(
       obs::RenderRunReport("", "{\"t_ms\":oops}\n", {}, &report, &error));
   EXPECT_NE(error.find("line 1"), std::string::npos);
+}
+
+TEST(ObsReportTest, DeepNestingFailsInsteadOfOverflowingTheStack) {
+  // Two million '[' must fail with an error, not recurse once per byte
+  // until the stack overflows.
+  const std::string deep(2000000, '[');
+  std::string report, error;
+  EXPECT_FALSE(
+      obs::RenderFlightReport(deep, obs::RunReportOptions{}, &report, &error));
+  EXPECT_NE(error.find("nesting too deep"), std::string::npos) << error;
+  error.clear();
+  EXPECT_FALSE(obs::RenderRunReport(deep, "", {}, &report, &error));
+  EXPECT_NE(error.find("nesting too deep"), std::string::npos) << error;
+  error.clear();
+  EXPECT_FALSE(obs::RenderRunReport("", deep + "\n", {}, &report, &error));
+  EXPECT_NE(error.find("nesting too deep"), std::string::npos) << error;
+
+  // Nesting well past anything obs writes still parses.
+  const std::string nested =
+      "{\"traceEvents\":[],\"extra\":" + std::string(40, '[') +
+      std::string(40, ']') + "}";
+  EXPECT_TRUE(obs::RenderRunReport(nested, "", {}, &report, &error)) << error;
+}
+
+/// One seeded mutation of `doc`: overwrite bytes with JSON punctuation or
+/// digits, delete or duplicate a range, splice in nesting, or truncate.
+std::string MutateJson(const std::string& doc, Rng* rng) {
+  static constexpr char kAlphabet[] = "{}[]\",:-+.eE0123456789 tfnul\\x";
+  std::string out = doc;
+  const int edits = 1 + static_cast<int>(rng->Next() % 4);
+  for (int e = 0; e < edits && !out.empty(); ++e) {
+    const size_t at = rng->Next() % out.size();
+    const size_t len = 1 + rng->Next() % 16;
+    switch (rng->Next() % 5) {
+      case 0:
+        out[at] = kAlphabet[rng->Next() % (sizeof(kAlphabet) - 1)];
+        break;
+      case 1:
+        out.erase(at, len);
+        break;
+      case 2:
+        out.insert(at, out.substr(at, len));
+        break;
+      case 3:
+        out.insert(at, std::string(rng->Next() % 200, "[{"[rng->Next() % 2]));
+        break;
+      default:
+        out.resize(at);
+        break;
+    }
+  }
+  return out;
+}
+
+TEST(ObsReportFuzzTest, SeededMutationsReturnTrueOrFalse) {
+  const std::string trace = R"({"traceEvents":[
+    {"name":"process_name","ph":"M","pid":0,"tid":0,"args":{"name":"mde"}},
+    {"name":"plan.execute","cat":"mde","ph":"X","ts":0,"dur":100,"pid":0,"tid":1,"args":{"trace_id":7,"span_id":8}},
+    {"name":"vec.filter","cat":"mde","ph":"X","ts":10,"dur":40,"pid":0,"tid":1},
+    {"name":"ctx","cat":"mde","ph":"s","id":8,"pid":0,"tid":1,"ts":10}
+  ]})";
+  const std::string jsonl =
+      "{\"t_ms\":1.0,\"counters\":{\"steps\":{\"v\":10,\"d\":10}},"
+      "\"gauges\":{\"obs.health.dsgd\":0,\"smc.ess\":150.0},"
+      "\"hist\":{\"lat\":{\"count\":10,\"sum\":150,\"bounds\":[10,20],"
+      "\"buckets\":[0,10,0]}},\"queries\":{\"0xab\":{\"tag\":\"q\","
+      "\"cpu_ns\":5,\"tasks\":2}},\"mem\":{\"rss_kb\":1024,"
+      "\"peak_rss_kb\":2048}}\n";
+  const std::string flight =
+      "{\"flight\":{\"version\":1,\"reason\":\"fault:x\",\"ts_ns\":5,"
+      "\"contexts\":[{\"thread\":\"driver\",\"trace_id\":7,"
+      "\"fingerprint\":\"0xabc\",\"tag\":\"t\"}],"
+      "\"spans\":[{\"thread\":\"driver\",\"name\":\"s\",\"ts_ns\":1,"
+      "\"trace_id\":7,\"span_id\":8,\"parent_span_id\":0}],"
+      "\"counters\":{\"pool.steals\":3},\"gauges\":{\"simd.tier\":2}}}";
+  std::string report, error;
+  ASSERT_TRUE(obs::RenderRunReport(trace, jsonl, {}, &report, &error))
+      << error;
+  ASSERT_TRUE(obs::RenderFlightReport(flight, {}, &report, &error)) << error;
+
+  Rng rng(20261017);
+  int accepted = 0;
+  int rejected = 0;
+  for (int round = 0; round < 1500; ++round) {
+    const bool run_ok = obs::RenderRunReport(
+        MutateJson(trace, &rng), round % 2 ? MutateJson(jsonl, &rng) : jsonl,
+        {}, &report, &error);
+    const bool flight_ok = obs::RenderFlightReport(MutateJson(flight, &rng),
+                                                   {}, &report, &error);
+    accepted += run_ok + flight_ok;
+    rejected += !run_ok + !flight_ok;
+  }
+  // Both outcomes occur: the mutations reach the renderers, not just the
+  // parser's first byte.
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 // ---------------------------------------------------------------------------

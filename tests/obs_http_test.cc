@@ -4,16 +4,19 @@
 #include <netinet/in.h>
 #include <signal.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/wait.h>
 #include <time.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -29,7 +32,9 @@
 #include "obs/profiler.h"
 #include "obs/report.h"
 #include "obs/trace.h"
+#include "obs_test_util.h"
 #include "util/distributions.h"
+#include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace mde {
@@ -146,6 +151,7 @@ mcdb::MonteCarloDb MakeSbpDb(size_t patients) {
 void MarkerSegvHandler(int) { ::_exit(42); }
 
 TEST(ObsFatalChainTest, CrashHandlerChainsToPreviousAndDumps) {
+  const ScopedAttribution attribution;
   const std::string path = ::testing::TempDir() + "/obs_http_chain_flight.json";
   std::remove(path.c_str());
 
@@ -248,6 +254,7 @@ TEST(DiagServerTest, EphemeralPortStartStop) {
 }
 
 TEST(DiagServerTest, ServesEndpointsWhileEngineRunsEightThreads) {
+  const ScopedAttribution attribution;
   obs::DiagServer server;
   ASSERT_TRUE(server.Start(0));
   const int port = server.port();
@@ -380,6 +387,119 @@ TEST(DiagServerTest, RegisteredHandlerRoutesQueryStringAndIndex) {
   server.Stop();
 }
 
+TEST(DiagServerTest, QueryParamDecodesOnlyTwoHexDigitEscapes) {
+  EXPECT_EQ(obs::DiagQueryParam("k=%41%4a%4A", "k"), "AJJ");
+  EXPECT_EQ(obs::DiagQueryParam("k=a+b", "k"), "a b");
+  // A sign or a space is not a hex digit: the '%' stays literal instead of
+  // decoding to 0x01 / 0xff ('+' still form-decodes to a space).
+  EXPECT_EQ(obs::DiagQueryParam("k=%+1", "k"), "% 1");
+  EXPECT_EQ(obs::DiagQueryParam("k=%-1", "k"), "%-1");
+  EXPECT_EQ(obs::DiagQueryParam("k=% 1", "k"), "% 1");
+  EXPECT_EQ(obs::DiagQueryParam("k=%zz", "k"), "%zz");
+  EXPECT_EQ(obs::DiagQueryParam("k=%4", "k"), "%4");
+}
+
+/// Sends `request` verbatim, half-closes, and returns everything the server
+/// wrote back before closing ("" for a closed or reset connection). Fails
+/// the test if the server neither answers nor closes within 10 s.
+std::string RawExchange(int port, const std::string& request) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) {
+    ADD_FAILURE() << "socket failed";
+    return "";
+  }
+  timeval timeout{10, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    ADD_FAILURE() << "connect failed";
+    return "";
+  }
+  size_t sent = 0;
+  while (sent < request.size()) {
+    const ssize_t n = ::send(fd, request.data() + sent, request.size() - sent,
+                             MSG_NOSIGNAL);
+    if (n <= 0) break;  // the server may stop reading a long head
+    sent += static_cast<size_t>(n);
+  }
+  ::shutdown(fd, SHUT_WR);
+  std::string raw;
+  char buf[4096];
+  for (;;) {
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n > 0) {
+      raw.append(buf, static_cast<size_t>(n));
+      continue;
+    }
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      ADD_FAILURE() << "server neither answered nor closed";
+    }
+    break;
+  }
+  ::close(fd);
+  return raw;
+}
+
+TEST(DiagServerFuzzTest, MutatedRequestHeadsGetStatusLineOrClose) {
+  obs::DiagServer server;
+  ASSERT_TRUE(server.Start(0));
+  const int port = server.port();
+  const std::string seeds[] = {
+      "GET /healthz HTTP/1.1\r\nHost: 127.0.0.1\r\n\r\n",
+      "GET /queryz?format=json HTTP/1.1\r\nConnection: close\r\n\r\n",
+      "GET /stat%75sz?k=%+1&x=%4 HTTP/1.1\r\n\r\n",
+      "HEAD /tracez?format=json HTTP/1.0\r\n\r\n",
+      "GET /nope?a=b+c HTTP/1.1\r\n\r\n",
+  };
+  Rng rng(20261017);
+  int answered = 0;
+  for (int round = 0; round < 300; ++round) {
+    std::string req = seeds[rng.Next() % std::size(seeds)];
+    const int edits = 1 + static_cast<int>(rng.Next() % 3);
+    for (int e = 0; e < edits && !req.empty(); ++e) {
+      const size_t at = rng.Next() % req.size();
+      switch (rng.Next() % 5) {
+        case 0:  // any byte, NUL and CR/LF included
+          req[at] = static_cast<char>(rng.Next() & 0xff);
+          break;
+        case 1:
+          req.erase(at, 1 + rng.Next() % 8);
+          break;
+        case 2:
+          req.insert(at, std::string(1 + rng.Next() % 4,
+                                     "% \r\n?&=+"[rng.Next() % 8]));
+          break;
+        case 3:  // long runs, past the 16 KiB head cap now and then
+          req.insert(at, std::string(rng.Next() % 20000, 'A'));
+          break;
+        default:
+          req.resize(at);
+          break;
+      }
+    }
+    const std::string raw = RawExchange(port, req);
+    if (raw.empty()) continue;
+    ++answered;
+    ASSERT_EQ(raw.compare(0, 9, "HTTP/1.1 "), 0) << raw.substr(0, 64);
+    ASSERT_GE(raw.size(), 13u);
+    const int status = std::atoi(raw.c_str() + 9);
+    EXPECT_GE(status, 200);
+    EXPECT_LT(status, 600);
+    EXPECT_EQ(raw[12], ' ');
+    EXPECT_NE(raw.find("\r\n"), std::string::npos);
+  }
+  EXPECT_GT(answered, 0);
+
+  int status = 0;
+  EXPECT_EQ(HttpGet(port, "/healthz", &status), "ok\n");
+  EXPECT_EQ(status, 200);
+  server.Stop();
+}
+
 TEST(DiagServerTest, ThrottledReaderReceivesFullLargeBody) {
   obs::DiagServer server;
   ASSERT_TRUE(server.Start(0));
@@ -492,6 +612,7 @@ TEST(ProfilerTest, SampleCountScalesWithCpuTime) {
 }
 
 TEST(ProfilerTest, FiltersByQueryFingerprint) {
+  const ScopedAttribution attribution;
   obs::Profiler& prof = obs::Profiler::Global();
   prof.RegisterCurrentThread();
   prof.Reset();
@@ -517,6 +638,7 @@ TEST(ProfilerTest, FiltersByQueryFingerprint) {
 }
 
 TEST(ProfilerTest, CpuSecondsReconcileWithAttribution) {
+  const ScopedAttribution attribution;
   obs::Profiler& prof = obs::Profiler::Global();
   prof.RegisterCurrentThread();
   prof.Reset();
@@ -598,6 +720,7 @@ TEST(ProfilerTest, FoldedOutputWellFormedAndReportable) {
 }
 
 TEST(ProfilerTest, ProfilezEndpointReturnsFoldedStacks) {
+  const ScopedAttribution attribution;
   obs::DiagServer server;
   ASSERT_TRUE(server.Start(0));
 
