@@ -122,31 +122,32 @@ void BundleTable::GatherRows(const std::vector<uint32_t>& keep,
   // the common FilterStoch outcome at realistic repetition counts.
   const bool identity = m == num_rows();
   if (identity) {
-    out->det_rows_ = det_rows_;
     out->stoch_ = stoch_;
   } else {
-    // reserve + tail-insert rather than resize + overwrite: the gather
-    // output is written exactly once, so value-initializing it first would
-    // double the first-touch traffic on the largest allocation in the
-    // filter pipeline.
-    out->det_rows_.reserve(m);
-    for (size_t k = 0; k < stoch_.size(); ++k) {
-      out->stoch_[k]->reserve(m * num_reps_);
-    }
+    for (auto& block : out->stoch_) block->resize(m * num_reps_);
   }
-  out->active_.reserve(m * words_per_row_);
-  for (size_t j = 0; j < m; ++j) {
-    const size_t i = keep[j];
-    if (!identity) {
-      out->det_rows_.push_back(det_rows_[i]);
-      for (size_t k = 0; k < stoch_.size(); ++k) {
-        const double* src = stoch_[k]->data() + i * num_reps_;
-        out->stoch_[k]->insert(out->stoch_[k]->end(), src, src + num_reps_);
+  // Pre-size, then copy in row chunks: the value blocks and mask words are
+  // left uninitialised by resize (AlignedVector), so every output element
+  // is written exactly once, by the pool worker that owns its row — which
+  // also takes that row's first-touch page faults. A pure copy: output row
+  // j is source row keep[j] whatever the chunking or thread count.
+  out->det_rows_.resize(m);
+  out->active_.resize(m * words_per_row_);
+  const size_t num_k = identity ? 0 : stoch_.size();
+  RunRowChunks(m, [&](size_t, size_t begin, size_t end) {
+    for (size_t j = begin; j < end; ++j) {
+      const size_t i = keep[j];
+      out->det_rows_[j] = det_rows_[i];
+      std::memcpy(out->active_.data() + j * words_per_row_,
+                  masks + i * words_per_row_,
+                  words_per_row_ * sizeof(uint64_t));
+      for (size_t k = 0; k < num_k; ++k) {
+        std::memcpy(out->stoch_[k]->data() + j * num_reps_,
+                    stoch_[k]->data() + i * num_reps_,
+                    num_reps_ * sizeof(double));
       }
     }
-    const uint64_t* msrc = masks + i * words_per_row_;
-    out->active_.insert(out->active_.end(), msrc, msrc + words_per_row_);
-  }
+  });
   out->AccountStorage();
 }
 
@@ -208,6 +209,7 @@ Result<BundleTable> BundleTable::FilterStoch(const std::string& attr,
   out.pool_ = pool_;
   const size_t n = num_rows();
   const double* block = stoch_[k]->data();
+  // Uninitialised (AlignedVector): FilterMaskKernel writes every word.
   AlignedVector<uint64_t> new_active(active_.size());
   std::vector<uint8_t> any(n, 0);
   // table::CmpOp and simd::Cmp enumerate the six comparisons in the same
@@ -242,6 +244,7 @@ Result<BundleTable> BundleTable::MapStoch(
   // any later mutation).
   for (size_t k = 0; k < num_k; ++k) out.stoch_[k] = stoch_[k];
   out.active_ = active_;
+  // Uninitialised (AlignedVector): the chunks write every (row, rep).
   out.stoch_[num_k]->resize(n * num_reps_);
   double* computed = out.stoch_[num_k]->data();
   RunRowChunks(n, [&](size_t, size_t begin, size_t end) {
@@ -462,16 +465,16 @@ Result<BundleTable> GenerateBundlesImpl(const MonteCarloDb& db,
   MDE_OBS_ATTR_ADD(vg_draws, n * num_reps);
   BundleTable out(outer->schema(), {attr_name}, num_reps);
   out.pool_ = pool;
+  // Sized uninitialised (AlignedVector does not zero): each chunk below
+  // writes its own rows' values and mask words, so the 80 MB-class value
+  // block is first touched in parallel instead of memset on this thread.
   out.det_rows_.resize(n);
   out.stoch_[0]->resize(n * num_reps);
+  out.active_.resize(n * out.words_per_row_);
+  const size_t wpr = out.words_per_row_;
   // All rows start active in every repetition; padding bits stay zero.
-  out.active_.assign(n * out.words_per_row_, ~0ULL);
-  if (const size_t tail = num_reps % 64; tail != 0) {
-    const uint64_t last = (uint64_t{1} << tail) - 1;
-    for (size_t i = 0; i < n; ++i) {
-      out.active_[(i + 1) * out.words_per_row_ - 1] = last;
-    }
-  }
+  const uint64_t last_word =
+      num_reps % 64 == 0 ? ~0ULL : (uint64_t{1} << (num_reps % 64)) - 1;
 
   double* block = out.stoch_[0]->data();
   std::mutex err_mu;
@@ -495,6 +498,9 @@ Result<BundleTable> GenerateBundlesImpl(const MonteCarloDb& db,
       }
       const table::Row& params = params_r.value();
       out.det_rows_[j] = outer_row;
+      uint64_t* mask = out.active_.data() + j * wpr;
+      std::fill(mask, mask + wpr - 1, ~0ULL);
+      mask[wpr - 1] = last_word;
       // Independent per-ROW stream via SplitMix64 seeding: O(1) per stream,
       // unlike Jump-based substreams whose setup cost grows with the stream
       // index. The row is the unit of parallelism and its repetitions are
@@ -524,16 +530,7 @@ Result<BundleTable> GenerateBundlesImpl(const MonteCarloDb& db,
       }
     }
   };
-  if (pool != nullptr && n > 0) {
-    pool->ParallelForChunks(n, BundleTable::kRowGrain, chunk_fn);
-  } else {
-    const size_t chunks =
-        (n + BundleTable::kRowGrain - 1) / BundleTable::kRowGrain;
-    for (size_t c = 0; c < chunks; ++c) {
-      const size_t begin = c * BundleTable::kRowGrain;
-      chunk_fn(c, begin, std::min(n, begin + BundleTable::kRowGrain));
-    }
-  }
+  out.RunRowChunks(n, chunk_fn);
   if (failed.load()) return first_err;
   out.AccountStorage();
   return out;

@@ -1,6 +1,8 @@
 #include "obs/http.h"
 
+#include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -17,6 +19,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -81,6 +84,8 @@ const char* StatusText(int status) {
       return "Bad Request";
     case 404:
       return "Not Found";
+    case 408:
+      return "Request Timeout";
     case 503:
       return "Service Unavailable";
   }
@@ -412,8 +417,8 @@ void DiagServer::Stop() {
   handler_threads_.clear();
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
-    for (int fd : pending_fds_) ::close(fd);
-    pending_fds_.clear();
+    for (const Pending& conn : pending_) ::close(conn.fd);
+    pending_.clear();
   }
   listen_fd_ = -1;
   port_.store(0, std::memory_order_relaxed);
@@ -435,18 +440,18 @@ void DiagServer::AcceptLoop() {
       if (errno == EINTR || errno == ECONNABORTED) continue;
       return;  // listen socket is gone
     }
-    // Per-connection socket timeouts: a stalled client times out instead of
-    // pinning a handler thread forever.
-    struct timeval rcv_to = {5, 0};
+    // The request head is bounded by one deadline from accept (see
+    // HandleConnection); the send timeout bounds a reader that stalls
+    // mid-response.
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::milliseconds(kRequestHeadTimeoutMs);
     struct timeval snd_to = {10, 0};
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &rcv_to, sizeof(rcv_to));
     ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &snd_to, sizeof(snd_to));
     bool enqueued = false;
     {
       std::lock_guard<std::mutex> lock(queue_mu_);
-      if (pending_fds_.size() <
-          static_cast<size_t>(kAcceptBacklog)) {
-        pending_fds_.push_back(fd);
+      if (pending_.size() < static_cast<size_t>(kAcceptBacklog)) {
+        pending_.push_back({fd, deadline});
         enqueued = true;
       }
     }
@@ -464,29 +469,50 @@ void DiagServer::AcceptLoop() {
 void DiagServer::HandlerLoop() {
   SetCurrentThreadName("diag-handler");
   while (true) {
-    int fd = -1;
+    Pending conn;
     {
       std::unique_lock<std::mutex> lock(queue_mu_);
-      queue_cv_.wait(lock,
-                     [this] { return stopping_ || !pending_fds_.empty(); });
+      queue_cv_.wait(lock, [this] { return stopping_ || !pending_.empty(); });
       if (stopping_) return;
-      fd = pending_fds_.front();
-      pending_fds_.pop_front();
+      conn = pending_.front();
+      pending_.pop_front();
     }
-    HandleConnection(fd);
-    ::close(fd);
+    HandleConnection(conn.fd, conn.head_deadline);
+    ::close(conn.fd);
   }
 }
 
-void DiagServer::HandleConnection(int fd) {
-  // Read until the end of the request head (GET only; bodies ignored).
+void DiagServer::HandleConnection(
+    int fd, std::chrono::steady_clock::time_point head_deadline) {
+  // Read until the end of the request head (GET only; bodies ignored), but
+  // never past the head deadline: a silent or byte-trickling client would
+  // otherwise pin this handler (per-recv timeouts restart on every byte).
+  // A connection that waited in the queue past its deadline is still
+  // served if its whole head has already arrived.
   std::string head;
   char buf[2048];
+  bool timed_out = false;
   while (head.size() < 16384 &&
          head.find("\r\n\r\n") == std::string::npos) {
-    const ssize_t r = ::recv(fd, buf, sizeof(buf), 0);
+    const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+        head_deadline - std::chrono::steady_clock::now());
+    struct pollfd pfd = {fd, POLLIN, 0};
+    const int ready =
+        ::poll(&pfd, 1, static_cast<int>(std::max<int64_t>(0, left.count())));
+    if (ready < 0 && errno == EINTR) continue;
+    if (ready <= 0) {
+      timed_out = ready == 0;
+      break;
+    }
+    const ssize_t r = ::recv(fd, buf, sizeof(buf), MSG_DONTWAIT);
+    if (r < 0 && (errno == EINTR || errno == EAGAIN)) continue;
     if (r <= 0) break;
     head.append(buf, static_cast<size_t>(r));
+  }
+  if (timed_out) {
+    MDE_OBS_COUNT("http.errors", 1);
+    SendResponse(fd, 408, "text/plain; charset=utf-8", "request timeout\n");
+    return;
   }
   const size_t line_end = head.find("\r\n");
   if (line_end == std::string::npos) {

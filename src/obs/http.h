@@ -2,6 +2,7 @@
 #define MDE_OBS_HTTP_H_
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -36,7 +37,9 @@
 ///
 /// Threading: one accept thread plus a bounded pool of handler threads
 /// (kHandlerThreads); accepted sockets queue up to kAcceptBacklog deep and
-/// beyond that are answered 503 inline by the accept thread. Handlers only
+/// beyond that are answered 503 inline by the accept thread. Each request
+/// head must be complete within kRequestHeadTimeoutMs of accept or is
+/// answered 408, so idle connections cannot hold the handlers. Handlers only
 /// READ side-band obs state (registry snapshots, ring snapshots), so
 /// serving traffic cannot change an engine result bit — except /profilez,
 /// which may start a temporary profiling session (also side-band).
@@ -76,6 +79,10 @@ class DiagServer {
  public:
   static constexpr int kHandlerThreads = 4;
   static constexpr int kAcceptBacklog = 16;
+  /// Whole-request-head budget, measured from accept: a connection whose
+  /// head is not complete by then is answered 408 and closed, so silent or
+  /// trickling clients free their handler thread within this bound.
+  static constexpr int kRequestHeadTimeoutMs = 2000;
 
   DiagServer();
   /// Stops the server if running.
@@ -128,7 +135,8 @@ class DiagServer {
 
   void AcceptLoop();
   void HandlerLoop();
-  void HandleConnection(int fd);
+  void HandleConnection(int fd,
+                        std::chrono::steady_clock::time_point head_deadline);
   Response Route(const Request& req);
 
   std::atomic<bool> running_{false};
@@ -139,7 +147,11 @@ class DiagServer {
   std::vector<std::thread> handler_threads_;
   std::mutex queue_mu_;
   std::condition_variable queue_cv_;
-  std::deque<int> pending_fds_;
+  struct Pending {
+    int fd = -1;
+    std::chrono::steady_clock::time_point head_deadline;
+  };
+  std::deque<Pending> pending_;
   bool stopping_ = false;  // guarded by queue_mu_
 };
 

@@ -322,6 +322,16 @@ std::map<std::string, SpanAgg> AggregateSpans(const Json& trace) {
   return agg;
 }
 
+/// Histogram counts arrive as JSON doubles. Casting a negative, NaN or
+/// >= 2^64 value to uint64_t is undefined behaviour, so such a count is
+/// rejected instead of converted.
+bool CountFromJson(const Json* v, uint64_t* out) {
+  const double d = v != nullptr ? v->NumOr(0.0) : 0.0;
+  if (!(d >= 0.0 && d < 18446744073709551616.0)) return false;
+  *out = static_cast<uint64_t>(d);
+  return true;
+}
+
 bool ParseMetricsJsonl(const std::string& jsonl, MetricsSeries* out,
                        std::string* error) {
   size_t line_no = 0;
@@ -362,16 +372,24 @@ bool ParseMetricsJsonl(const std::string& jsonl, MetricsSeries* out,
     if (const Json* hists = rec.Get("hist")) {
       for (const auto& [name, h] : hists->obj) {
         HistFinal hf;
-        hf.count = static_cast<uint64_t>(
-            h.Get("count") != nullptr ? h.Get("count")->NumOr(0.0) : 0.0);
+        bool counts_ok = CountFromJson(h.Get("count"), &hf.count);
         hf.sum = h.Get("sum") != nullptr ? h.Get("sum")->NumOr(0.0) : 0.0;
         if (const Json* bounds = h.Get("bounds")) {
           for (const Json& b : bounds->arr) hf.bounds.push_back(b.NumOr(0.0));
         }
         if (const Json* buckets = h.Get("buckets")) {
           for (const Json& b : buckets->arr) {
-            hf.buckets.push_back(static_cast<uint64_t>(b.NumOr(0.0)));
+            hf.buckets.emplace_back();
+            counts_ok = counts_ok && CountFromJson(&b, &hf.buckets.back());
           }
+        }
+        if (!counts_ok) {
+          if (error != nullptr) {
+            *error = "metrics line " + std::to_string(line_no) +
+                     ": histogram " + name +
+                     " has a count outside [0, 2^64)";
+          }
+          return false;
         }
         out->hists[name] = std::move(hf);
       }
@@ -474,6 +492,20 @@ std::string Compact(double v) {
   std::ostringstream os;
   os << std::setprecision(9) << v;
   return os.str();
+}
+
+/// The verdict a health gauge encodes, or "unknown (<value>)" when the
+/// value is none of the Verdict enumerators (casting an out-of-range or NaN
+/// double to int would be undefined behaviour).
+std::string VerdictCell(double v) {
+  using Verdict = ConvergenceMonitor::Verdict;
+  for (Verdict verdict :
+       {Verdict::kImproving, Verdict::kStalled, Verdict::kDiverged}) {
+    if (v == static_cast<double>(static_cast<int>(verdict))) {
+      return ConvergenceMonitor::VerdictName(verdict);
+    }
+  }
+  return "unknown (" + Compact(v) + ")";
 }
 
 void Heading(std::ostream& os, bool markdown, const std::string& title) {
@@ -700,10 +732,7 @@ bool RenderRunReport(const std::string& trace_json,
     TableWriter t({"monitor", "verdict / value"}, md);
     for (const auto& [name, v] : series.gauges) {
       if (name.rfind("obs.health.", 0) == 0) {
-        const auto verdict = static_cast<ConvergenceMonitor::Verdict>(
-            static_cast<int>(v));
-        t.AddRow({name.substr(11),
-                  ConvergenceMonitor::VerdictName(verdict)});
+        t.AddRow({name.substr(11), VerdictCell(v)});
       }
     }
     // Key estimator gauges the monitors publish alongside verdicts.

@@ -4,6 +4,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <new>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace mde {
@@ -13,6 +15,13 @@ namespace mde {
 /// SIMD loads never split a line and the AVX2 kernels may use aligned
 /// moves on block starts. Zero-size allocations still return a unique,
 /// aligned pointer (operator new guarantees this).
+///
+/// Elements are DEFAULT-initialised, not value-initialised: `resize(n)` and
+/// the `(n)` constructor leave trivially-constructible elements (every
+/// arithmetic block type here) uninitialised, so an 80 MB bundle block is
+/// first touched by the pool workers that fill it rather than zeroed on the
+/// calling thread. Pass a value — `assign(n, 0)`, `resize(n, 0)`, `push_back(0)` —
+/// wherever zeros are needed.
 template <typename T, size_t Align = 64>
 class AlignedAllocator {
  public:
@@ -42,6 +51,17 @@ class AlignedAllocator {
     ::operator delete(p, std::align_val_t{Align});
   }
 
+  /// Default-initialising construct: what makes `resize(n)` skip the fill.
+  template <typename U>
+  void construct(U* p) noexcept(
+      std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+
   friend bool operator==(const AlignedAllocator&,
                          const AlignedAllocator&) noexcept {
     return true;
@@ -49,7 +69,9 @@ class AlignedAllocator {
 };
 
 /// std::vector whose data() is 64-byte aligned. Drop-in replacement for the
-/// hot block vectors; iterators/element access are unchanged.
+/// hot block vectors; iterators/element access are unchanged, but
+/// `resize(n)` does not zero (see AlignedAllocator): every bare resize
+/// must be followed by a pass that writes each new element.
 template <typename T>
 using AlignedVector = std::vector<T, AlignedAllocator<T, 64>>;
 

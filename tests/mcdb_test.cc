@@ -1,5 +1,8 @@
 #include <cmath>
 #include <cstring>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -257,6 +260,120 @@ TEST(BundleTest, ParallelExecutionIsBitIdentical) {
       EXPECT_EQ(parallel[i], serial[i])
           << "thread count " << threads << " diverged at sample " << i;
     }
+  }
+}
+
+/// Byte-level copy of a bundle table's storage: every value block, the
+/// packed mask words and the deterministic rows.
+struct BundleBytes {
+  std::vector<std::vector<double>> blocks;
+  std::vector<uint64_t> active;
+  std::vector<Row> det;
+};
+
+BundleBytes Snapshot(const BundleTable& t, size_t num_stoch) {
+  BundleBytes s;
+  for (size_t k = 0; k < num_stoch; ++k) {
+    s.blocks.emplace_back(t.stoch_block(k).begin(), t.stoch_block(k).end());
+  }
+  s.active.assign(t.active_words().begin(), t.active_words().end());
+  for (size_t i = 0; i < t.num_rows(); ++i) s.det.push_back(t.det_row(i));
+  return s;
+}
+
+bool SameBytes(const void* a, const void* b, size_t bytes) {
+  return bytes == 0 || std::memcmp(a, b, bytes) == 0;
+}
+
+void ExpectSameBytes(const BundleBytes& want, const BundleBytes& got,
+                     const std::string& where) {
+  ASSERT_EQ(got.blocks.size(), want.blocks.size()) << where;
+  for (size_t k = 0; k < want.blocks.size(); ++k) {
+    ASSERT_EQ(got.blocks[k].size(), want.blocks[k].size()) << where;
+    EXPECT_TRUE(SameBytes(got.blocks[k].data(), want.blocks[k].data(),
+                          want.blocks[k].size() * sizeof(double)))
+        << where << ": stochastic block " << k;
+  }
+  ASSERT_EQ(got.active.size(), want.active.size()) << where;
+  EXPECT_TRUE(SameBytes(got.active.data(), want.active.data(),
+                        want.active.size() * sizeof(uint64_t)))
+      << where << ": mask words";
+  EXPECT_EQ(got.det, want.det) << where << ": deterministic rows";
+}
+
+/// The gathers themselves (not just aggregates over them) are pure copies:
+/// a FilterDet keeping about half the rows, a FilterStoch that drops whole
+/// rows and a MapStoch produce byte-identical blocks, mask words and
+/// deterministic rows serially and on pools of any size. 700 rows is not a
+/// multiple of kRowGrain, so every stage ends on a short chunk.
+TEST(BundleTest, ParallelGatherIsBitIdentical) {
+  MonteCarloDb db = MakeSbpDb(120.0, 15.0, 700);
+  // Few repetitions and a high threshold: a row survives FilterStoch only
+  // if one of its 3 draws exceeds mean + 2/3 sd, so whole rows drop.
+  const size_t reps = 3;
+  const uint64_t seed = 43;
+
+  auto run = [&](ThreadPool* pool) {
+    std::vector<BundleBytes> stages;
+    auto gen = GenerateBundles(db, db.stochastic_specs()[0], "SBP", reps,
+                               seed, pool);
+    EXPECT_TRUE(gen.ok());
+    stages.push_back(Snapshot(gen.value(), 1));
+    const BundleTable det = gen.value().FilterDet([](const Row& r) {
+      return (r[0].AsInt() * 7919) % 13 < 6;
+    });
+    EXPECT_GT(det.num_rows(), 250u);
+    EXPECT_LT(det.num_rows(), 450u);
+    stages.push_back(Snapshot(det, 1));
+    auto high = det.FilterStoch("SBP", CmpOp::kGt, 130.0);
+    EXPECT_TRUE(high.ok());
+    EXPECT_GT(high.value().num_rows(), 0u);
+    EXPECT_LT(high.value().num_rows(), det.num_rows());
+    stages.push_back(Snapshot(high.value(), 1));
+    auto mapped = high.value().MapStoch(
+        "SBP_PID", [](const Row& d, const std::vector<double>& s) {
+          return s[0] * 0.5 + static_cast<double>(d[0].AsInt());
+        });
+    EXPECT_TRUE(mapped.ok());
+    stages.push_back(Snapshot(mapped.value(), 2));
+    return stages;
+  };
+
+  const std::vector<BundleBytes> serial = run(nullptr);
+  const char* names[] = {"GenerateBundles", "FilterDet", "FilterStoch",
+                         "MapStoch"};
+  for (size_t threads : {1u, 2u, 8u}) {
+    ThreadPool pool(threads);
+    const std::vector<BundleBytes> parallel = run(&pool);
+    ASSERT_EQ(parallel.size(), serial.size());
+    for (size_t s = 0; s < serial.size(); ++s) {
+      ExpectSameBytes(serial[s], parallel[s],
+                      std::string(names[s]) + " at " +
+                          std::to_string(threads) + " threads");
+    }
+  }
+}
+
+/// A parameter binding that fails in a later chunk fails the whole
+/// generation: the half-written, uninitialised block is never handed out.
+TEST(BundleTest, GenerateReturnsBinderErrorFromLaterChunk) {
+  MonteCarloDb db = MakeSbpDb(120.0, 15.0, 700);
+  StochasticTableSpec spec = db.stochastic_specs()[0];
+  const auto bind = spec.param_binder;
+  spec.param_binder = [bind](const Row& outer,
+                             const DatabaseInstance& det) -> Result<Row> {
+    if (outer[0].AsInt() == 600) {  // chunk 2 of 256-row chunks
+      return Status::InvalidArgument("no parameters for PID 600");
+    }
+    return bind(outer, det);
+  };
+  for (size_t threads : {0u, 1u, 2u, 8u}) {
+    std::unique_ptr<ThreadPool> pool;
+    if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
+    auto bundles = GenerateBundles(db, spec, "SBP", 64, 7, pool.get());
+    ASSERT_FALSE(bundles.ok()) << threads << " threads";
+    EXPECT_EQ(bundles.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(bundles.status().message(), "no parameters for PID 600");
   }
 }
 

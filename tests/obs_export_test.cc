@@ -611,6 +611,36 @@ TEST(ObsReportTest, DeepNestingFailsInsteadOfOverflowingTheStack) {
   EXPECT_TRUE(obs::RenderRunReport(nested, "", {}, &report, &error)) << error;
 }
 
+/// Numbers the report reader converts to integers are range-checked: a
+/// histogram count outside [0, 2^64) fails the parse, and a health gauge
+/// that is no verdict renders as unknown.
+TEST(ObsReportTest, OutOfRangeCountsAndVerdictsAreChecked) {
+  std::string report, error;
+  for (const char* count : {"1e300", "-5", "1e999"}) {
+    const std::string line = std::string("{\"hist\":{\"lat\":{\"count\":") +
+                             count + ",\"bounds\":[10],\"buckets\":[1,0]}}}\n";
+    error.clear();
+    EXPECT_FALSE(obs::RenderRunReport("", line, {}, &report, &error)) << count;
+    EXPECT_NE(error.find("histogram lat"), std::string::npos) << error;
+  }
+  EXPECT_FALSE(obs::RenderRunReport(
+      "", "{\"hist\":{\"lat\":{\"count\":1,\"buckets\":[1,-5]}}}\n", {},
+      &report, &error));
+  EXPECT_FALSE(obs::RenderRunReport(
+      "", "{\"hist\":{\"lat\":{\"count\":nan}}}\n", {}, &report, &error));
+
+  ASSERT_TRUE(obs::RenderRunReport(
+      "",
+      "{\"gauges\":{\"obs.health.a\":1e300,\"obs.health.b\":-5,"
+      "\"obs.health.c\":1.5,\"obs.health.d\":2}}\n",
+      {}, &report, &error))
+      << error;
+  EXPECT_NE(report.find("unknown (1e+300)"), std::string::npos) << report;
+  EXPECT_NE(report.find("unknown (-5)"), std::string::npos) << report;
+  EXPECT_NE(report.find("unknown (1.5)"), std::string::npos) << report;
+  EXPECT_NE(report.find("diverged"), std::string::npos) << report;
+}
+
 /// One seeded mutation of `doc`: overwrite bytes with JSON punctuation or
 /// digits, delete or duplicate a range, splice in nesting, or truncate.
 std::string MutateJson(const std::string& doc, Rng* rng) {
@@ -662,6 +692,17 @@ TEST(ObsReportFuzzTest, SeededMutationsReturnTrueOrFalse) {
       "\"spans\":[{\"thread\":\"driver\",\"name\":\"s\",\"ts_ns\":1,"
       "\"trace_id\":7,\"span_id\":8,\"parent_span_id\":0}],"
       "\"counters\":{\"pool.steals\":3},\"gauges\":{\"simd.tier\":2}}}";
+  // Out-of-range numbers where the reader converts to integers: a count
+  // of 1e300, negative and infinite buckets, health gauges of 1e300 and -5,
+  // and a NaN spelling (not JSON, so the parser rejects it).
+  const std::string jsonl_seeds[] = {
+      jsonl,
+      "{\"t_ms\":1.0,\"hist\":{\"lat\":{\"count\":1e300,\"sum\":1,"
+      "\"bounds\":[10],\"buckets\":[-5,1e999]}},"
+      "\"gauges\":{\"obs.health.dsgd\":1e300,\"obs.health.smc\":-5}}\n",
+      "{\"t_ms\":1.0,\"hist\":{\"lat\":{\"count\":nan,\"buckets\":[nan]}},"
+      "\"gauges\":{\"obs.health.dsgd\":nan}}\n",
+  };
   std::string report, error;
   ASSERT_TRUE(obs::RenderRunReport(trace, jsonl, {}, &report, &error))
       << error;
@@ -671,8 +712,9 @@ TEST(ObsReportFuzzTest, SeededMutationsReturnTrueOrFalse) {
   int accepted = 0;
   int rejected = 0;
   for (int round = 0; round < 1500; ++round) {
+    const std::string& seed = jsonl_seeds[round % std::size(jsonl_seeds)];
     const bool run_ok = obs::RenderRunReport(
-        MutateJson(trace, &rng), round % 2 ? MutateJson(jsonl, &rng) : jsonl,
+        MutateJson(trace, &rng), round % 2 ? MutateJson(seed, &rng) : seed,
         {}, &report, &error);
     const bool flight_ok = obs::RenderFlightReport(MutateJson(flight, &rng),
                                                    {}, &report, &error);

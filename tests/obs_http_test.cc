@@ -500,6 +500,86 @@ TEST(DiagServerFuzzTest, MutatedRequestHeadsGetStatusLineOrClose) {
   server.Stop();
 }
 
+/// Opens a loopback connection with a 10 s receive timeout; -1 on failure.
+int ConnectLoopback(int port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  timeval timeout{10, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// Reads until the server closes (or the 10 s receive timeout fires).
+std::string ReadUntilClose(int fd) {
+  std::string raw;
+  char buf[1024];
+  for (;;) {
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n <= 0) break;
+    raw.append(buf, static_cast<size_t>(n));
+  }
+  return raw;
+}
+
+TEST(DiagServerTest, IdleAndTricklingClientsReleaseHandlersAtHeadDeadline) {
+  obs::DiagServer server;
+  ASSERT_TRUE(server.Start(0));
+  const int port = server.port();
+
+  // One silent connection per handler thread, then one that trickles a
+  // request head a byte at a time and never finishes it. Per-recv timeouts
+  // alone let the silent ones hold every handler for the whole timeout and
+  // the trickler hold one for as long as it keeps sending.
+  std::vector<int> silent;
+  for (int i = 0; i < obs::DiagServer::kHandlerThreads; ++i) {
+    const int fd = ConnectLoopback(port);
+    ASSERT_GE(fd, 0);
+    silent.push_back(fd);
+  }
+  const int trickle = ConnectLoopback(port);
+  ASSERT_GE(trickle, 0);
+  std::atomic<bool> stop{false};
+  std::thread trickler([&] {
+    const std::string head =
+        "GET /healthz HTTP/1.1\r\nHost: 127.0.0.1\r\n\r\n";
+    for (size_t i = 0; i + 1 < head.size() && !stop.load(); ++i) {
+      if (::send(trickle, &head[i], 1, MSG_NOSIGNAL) != 1) break;
+      std::this_thread::sleep_for(std::chrono::milliseconds(150));
+    }
+  });
+
+  // A sixth client is answered once the head deadline has freed the
+  // handlers: within the deadline plus scheduling slack.
+  const auto start = std::chrono::steady_clock::now();
+  const std::string raw = RawExchange(
+      port, "GET /healthz HTTP/1.1\r\nHost: 127.0.0.1\r\n\r\n");
+  const auto waited_ms =
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count();
+  EXPECT_EQ(raw.compare(0, 12, "HTTP/1.1 200"), 0) << raw.substr(0, 64);
+  EXPECT_LT(waited_ms, obs::DiagServer::kRequestHeadTimeoutMs + 1500);
+
+  // The stalled clients were answered 408 and closed, not left open.
+  for (int fd : silent) {
+    EXPECT_EQ(ReadUntilClose(fd).compare(0, 12, "HTTP/1.1 408"), 0);
+    ::close(fd);
+  }
+  EXPECT_EQ(ReadUntilClose(trickle).compare(0, 12, "HTTP/1.1 408"), 0);
+  stop.store(true);
+  trickler.join();
+  ::close(trickle);
+  server.Stop();
+}
+
 TEST(DiagServerTest, ThrottledReaderReceivesFullLargeBody) {
   obs::DiagServer server;
   ASSERT_TRUE(server.Start(0));
