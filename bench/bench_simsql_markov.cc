@@ -52,7 +52,7 @@ ChainTableSpec WalkerSpec(size_t walkers) {
   spec.transition = [](const DatabaseState& prev, const DatabaseState&,
                        Rng& rng) -> Result<Table> {
     const Table& old = prev.at("W");
-    MDE_ASSIGN_OR_RETURN(auto old_cols, old.ToColumnar());
+    const auto& old_cols = old.columnar();
     const table::Column& pos = old_cols->col(1);
     table::ColumnarTableBuilder b{old.schema()};
     b.SetColumn(0, old_cols->col_ptr(0));  // ids are immutable: share them
@@ -74,9 +74,8 @@ void PrintChainDemo() {
   for (size_t steps : {4u, 16u, 64u}) {
     auto state = db.Run(steps, 5, 0).value();
     std::vector<double> pos;
-    for (const Row& r : state.at("W").rows()) {
-      pos.push_back(r[1].AsDouble());
-    }
+    const table::Column& col = state.at("W").columnar()->col(1);
+    pos.assign(col.f64.begin(), col.f64.end());
     std::printf("%6zu %14.2f\n", steps, Variance(pos));
   }
   std::printf("\n");

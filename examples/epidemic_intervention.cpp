@@ -74,7 +74,8 @@ int main() {
   table::Table bands{table::Schema({{"band", table::DataType::kString},
                                     {"infected", table::DataType::kInt64}})};
   const table::Table people = treated.PersonTable();
-  for (const table::Row& r : people.rows()) {
+  for (size_t i = 0; i < people.num_rows(); ++i) {
+    const table::RowView r = people.row(i);
     const int64_t age = r[1].AsInt();
     const char* band = age <= 4 ? "preschool" : age <= 18 ? "school" : "adult";
     bands.Append({table::Value(band),
@@ -87,7 +88,8 @@ int main() {
                     .OrderByAsc({"band"})
                     .Execute()
                     .value();
-  for (const table::Row& r : banded.rows()) {
+  for (size_t i = 0; i < banded.num_rows(); ++i) {
+    const table::RowView r = banded.row(i);
     std::printf("  %-10s n=%6lld  rate=%.3f\n", r[0].AsString().c_str(),
                 static_cast<long long>(r[1].AsInt()), r[2].AsDouble());
   }

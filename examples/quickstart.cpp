@@ -74,7 +74,8 @@ mde::Result<double> TargetRevenue(const DatabaseInstance& instance) {
           .Where("age", mde::table::CmpOp::kLt, int64_t{30})
           .Execute());
   double revenue = 0.0;
-  for (const Row& r : subset.rows()) {
+  for (size_t i = 0; i < subset.num_rows(); ++i) {
+    const mde::table::RowView r = subset.row(i);
     revenue += r[3].AsDouble() * static_cast<double>(r[4].AsInt());
   }
   return revenue;

@@ -77,7 +77,8 @@ Result<timeseries::TimeSeries> Harmonize(const timeseries::TimeSeries& daily_f) 
 
   // 2. Time alignment: daily -> weekly means.
   timeseries::TimeSeries daily_c(1);
-  for (const table::Row& r : celsius.rows()) {
+  for (size_t i = 0; i < celsius.num_rows(); ++i) {
+    const table::RowView r = celsius.row(i);
     MDE_RETURN_NOT_OK(daily_c.Append(
         static_cast<double>(r[0].AsInt()), r[1].AsDouble()));
   }

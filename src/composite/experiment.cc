@@ -20,13 +20,13 @@ Result<table::Table> ExperimentResult::AsTable(
   table::Table t{table::Schema(std::move(cols))};
   for (size_t r = 0; r < scaled_design.rows(); ++r) {
     table::Row row;
-    row.push_back(table::Value(static_cast<int64_t>(r)));
+    row.emplace_back(static_cast<int64_t>(r));
     for (size_t c = 0; c < scaled_design.cols(); ++c) {
-      row.push_back(table::Value(scaled_design(r, c)));
+      row.emplace_back(scaled_design(r, c));
     }
-    row.push_back(table::Value(mean_response[r]));
-    row.push_back(table::Value(response_variance[r]));
-    t.Append(std::move(row));
+    row.emplace_back(mean_response[r]);
+    row.emplace_back(response_variance[r]);
+    t.Append(row);
   }
   return t;
 }

@@ -242,19 +242,16 @@ void EpidemicSim::Quarantine(const std::vector<int64_t>& pids) {
 
 Result<std::vector<int64_t>> EpidemicSim::PidsOf(const table::Table& t) {
   MDE_ASSIGN_OR_RETURN(size_t idx, t.schema().IndexOf("pid"));
-  std::vector<int64_t> pids;
-  pids.reserve(t.num_rows());
-  const auto& cols = t.columnar();
-  if (cols != nullptr &&
-      cols->col(idx).type == table::DataType::kInt64 &&
-      cols->col(idx).valid.empty()) {
-    // Columnar-backed result: read the typed block, skip row boxing.
-    const auto& c = cols->col(idx);
-    pids.assign(c.i64.begin(), c.i64.end());
-    return pids;
+  const table::Column& c = t.columnar()->col(idx);
+  if (c.type != table::DataType::kInt64) {
+    return Status::InvalidArgument("pid column is not int64");
   }
-  for (const Row& r : t.rows()) pids.push_back(r[idx].AsInt());
-  return pids;
+  if (!c.valid.empty()) {
+    for (size_t i = 0; i < c.size; ++i) {
+      if (!c.IsValid(i)) return Status::InvalidArgument("null pid");
+    }
+  }
+  return std::vector<int64_t>(c.i64.begin(), c.i64.end());
 }
 
 Result<std::vector<DailyStats>> RunWithPolicy(

@@ -11,6 +11,8 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "simd/simd.h"
+#include "table/columnar.h"
+#include "table/vec_ops.h"
 #include "util/check.h"
 
 namespace mde::mcdb {
@@ -28,7 +30,7 @@ struct SumCount {
 BundleTable::BundleTable(table::Schema det_schema,
                          std::vector<std::string> stoch_names,
                          size_t num_reps)
-    : det_schema_(std::move(det_schema)),
+    : det_(std::move(det_schema)),
       stoch_names_(std::move(stoch_names)),
       num_reps_(num_reps),
       words_per_row_((num_reps + 63) / 64),
@@ -40,7 +42,7 @@ BundleTable::BundleTable(table::Schema det_schema,
 }
 
 uint64_t BundleTable::ApproxBytes() const {
-  uint64_t b = det_rows_.capacity() * sizeof(table::Row);
+  uint64_t b = 0;
   for (const auto& blockv : stoch_) {
     // A block shared with another table is charged only to its first owner,
     // mirroring how the columnar layer excludes shared string dictionaries.
@@ -60,12 +62,11 @@ Result<size_t> BundleTable::StochIndex(const std::string& name) const {
 }
 
 void BundleTable::Append(BundleRow row) {
-  MDE_CHECK_EQ(row.det.size(), det_schema_.num_columns());
   MDE_CHECK_EQ(row.stoch.size(), stoch_names_.size());
   for (const auto& v : row.stoch) MDE_CHECK_EQ(v.size(), num_reps_);
   if (row.active.empty()) row.active.assign(num_reps_, 1);
   MDE_CHECK_EQ(row.active.size(), num_reps_);
-  det_rows_.push_back(std::move(row.det));
+  det_.Append(row.det);
   for (size_t k = 0; k < stoch_.size(); ++k) {
     AlignedVector<double>& block = MutableStoch(k);
     block.insert(block.end(), row.stoch[k].begin(), row.stoch[k].end());
@@ -84,7 +85,7 @@ void BundleTable::Append(BundleRow row) {
 
 BundleTable::BundleRow BundleTable::row(size_t i) const {
   BundleRow r;
-  r.det = det_rows_[i];
+  r.det = det_.row(i).ToRow();
   r.stoch.resize(stoch_.size());
   for (size_t k = 0; k < stoch_.size(); ++k) {
     const double* v = stoch_[k]->data() + i * num_reps_;
@@ -122,8 +123,11 @@ void BundleTable::GatherRows(const std::vector<uint32_t>& keep,
   // the common FilterStoch outcome at realistic repetition counts.
   const bool identity = m == num_rows();
   if (identity) {
+    out->det_ = det_;
     out->stoch_ = stoch_;
   } else {
+    out->det_ = table::Table::FromColumnar(
+        table::VecCompact(*det_.columnar(), keep, pool_));
     for (auto& block : out->stoch_) block->resize(m * num_reps_);
   }
   // Pre-size, then copy in row chunks: the value blocks and mask words are
@@ -131,13 +135,11 @@ void BundleTable::GatherRows(const std::vector<uint32_t>& keep,
   // is written exactly once, by the pool worker that owns its row — which
   // also takes that row's first-touch page faults. A pure copy: output row
   // j is source row keep[j] whatever the chunking or thread count.
-  out->det_rows_.resize(m);
   out->active_.resize(m * words_per_row_);
   const size_t num_k = identity ? 0 : stoch_.size();
   RunRowChunks(m, [&](size_t, size_t begin, size_t end) {
     for (size_t j = begin; j < end; ++j) {
       const size_t i = keep[j];
-      out->det_rows_[j] = det_rows_[i];
       std::memcpy(out->active_.data() + j * words_per_row_,
                   masks + i * words_per_row_,
                   words_per_row_ * sizeof(uint64_t));
@@ -151,22 +153,12 @@ void BundleTable::GatherRows(const std::vector<uint32_t>& keep,
   out->AccountStorage();
 }
 
-BundleTable BundleTable::FilterDet(const table::RowPredicate& pred) const {
-  BundleTable out(det_schema_, stoch_names_, num_reps_);
+BundleTable BundleTable::FilterDet(const table::PlanPredicate& pred) const {
+  BundleTable out(det_schema(), stoch_names_, num_reps_);
   out.pool_ = pool_;
-  const size_t n = num_rows();
-  std::vector<uint8_t> match(n, 0);
-  RunRowChunks(n, [&](size_t, size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      match[i] = pred(det_rows_[i]) ? 1 : 0;
-    }
-  });
-  std::vector<uint32_t> keep;
-  keep.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (match[i]) keep.push_back(static_cast<uint32_t>(i));
-  }
-  GatherRows(keep, active_.data(), &out);
+  auto keep = table::VecFilterAll(*det_.columnar(), {pred}, pool_);
+  MDE_CHECK_MSG(keep.ok(), "FilterDet predicate names no det_schema column");
+  GatherRows(keep.value(), active_.data(), &out);
   return out;
 }
 
@@ -205,7 +197,7 @@ Result<BundleTable> BundleTable::FilterStoch(const std::string& attr,
                                              table::CmpOp op,
                                              double threshold) const {
   MDE_ASSIGN_OR_RETURN(size_t k, StochIndex(attr));
-  BundleTable out(det_schema_, stoch_names_, num_reps_);
+  BundleTable out(det_schema(), stoch_names_, num_reps_);
   out.pool_ = pool_;
   const size_t n = num_rows();
   const double* block = stoch_[k]->data();
@@ -235,11 +227,11 @@ Result<BundleTable> BundleTable::MapStoch(
         fn) const {
   std::vector<std::string> names = stoch_names_;
   names.push_back(name);
-  BundleTable out(det_schema_, std::move(names), num_reps_);
+  BundleTable out(det_schema(), std::move(names), num_reps_);
   out.pool_ = pool_;
   const size_t n = num_rows();
   const size_t num_k = stoch_names_.size();
-  out.det_rows_ = det_rows_;
+  out.det_ = det_;
   // Inherited value blocks are shared, not copied (clone-on-write guards
   // any later mutation).
   for (size_t k = 0; k < num_k; ++k) out.stoch_[k] = stoch_[k];
@@ -249,12 +241,14 @@ Result<BundleTable> BundleTable::MapStoch(
   double* computed = out.stoch_[num_k]->data();
   RunRowChunks(n, [&](size_t, size_t begin, size_t end) {
     std::vector<double> at_rep(num_k);  // per-chunk scratch
+    table::Row det;
     for (size_t i = begin; i < end; ++i) {
+      det_.row(i).CopyTo(&det);
       for (size_t rep = 0; rep < num_reps_; ++rep) {
         for (size_t k = 0; k < num_k; ++k) {
           at_rep[k] = (*stoch_[k])[i * num_reps_ + rep];
         }
-        computed[i * num_reps_ + rep] = fn(det_rows_[i], at_rep);
+        computed[i * num_reps_ + rep] = fn(det, at_rep);
       }
     }
   });
@@ -374,7 +368,7 @@ std::vector<double> BundleTable::AggregateCount() const {
 
 Result<std::vector<BundleTable::GroupedSamples>> BundleTable::GroupSum(
     const std::string& det_key, const std::string& attr) const {
-  MDE_ASSIGN_OR_RETURN(size_t key_idx, det_schema_.IndexOf(det_key));
+  MDE_ASSIGN_OR_RETURN(size_t key_idx, det_schema().IndexOf(det_key));
   MDE_ASSIGN_OR_RETURN(size_t k, StochIndex(attr));
   const size_t n = num_rows();
   // Serial keying pass preserves first-appearance group order.
@@ -382,7 +376,7 @@ Result<std::vector<BundleTable::GroupedSamples>> BundleTable::GroupSum(
   std::vector<GroupedSamples> groups;
   std::unordered_map<std::string, uint32_t> index;
   for (size_t i = 0; i < n; ++i) {
-    std::string key = det_rows_[i][key_idx].ToString();
+    std::string key = det_.row(i)[key_idx].ToString();
     auto [it, inserted] =
         index.emplace(std::move(key), static_cast<uint32_t>(groups.size()));
     if (inserted) {
@@ -451,11 +445,6 @@ Result<BundleTable> GenerateBundlesImpl(const MonteCarloDb& db,
       if (db.FindTable(name) != nullptr) det_only.emplace(name, t);
     }
   }
-  // Row access is a lazy const-cache (table.h: an unmaterialized Table
-  // must not be shared across threads), so force materialization of every
-  // table the chunk workers will touch while still on the driver.
-  (void)outer->rows();
-  for (auto& [det_name, det_table] : det_only) (void)det_table.rows();
   // Output row j realizes outer row `keep[j]` (or j when keep is null):
   // rows a pre-generation filter eliminated never bind parameters and
   // never touch their VG substream.
@@ -465,10 +454,14 @@ Result<BundleTable> GenerateBundlesImpl(const MonteCarloDb& db,
   MDE_OBS_ATTR_ADD(vg_draws, n * num_reps);
   BundleTable out(outer->schema(), {attr_name}, num_reps);
   out.pool_ = pool;
+  // The deterministic side is the outer table's blocks: shared outright,
+  // or gathered down to the keep-list.
+  out.det_ = keep != nullptr ? table::Table::FromColumnar(table::VecCompact(
+                                   *outer->columnar(), *keep, pool))
+                             : *outer;
   // Sized uninitialised (AlignedVector does not zero): each chunk below
   // writes its own rows' values and mask words, so the 80 MB-class value
   // block is first touched in parallel instead of memset on this thread.
-  out.det_rows_.resize(n);
   out.stoch_[0]->resize(n * num_reps);
   out.active_.resize(n * out.words_per_row_);
   const size_t wpr = out.words_per_row_;
@@ -487,17 +480,17 @@ Result<BundleTable> GenerateBundlesImpl(const MonteCarloDb& db,
 
   auto chunk_fn = [&](size_t, size_t begin, size_t end) {
     std::vector<table::Row> vg_rows;
+    table::Row outer_row;  // per-chunk scratch, boxed once per row
     for (size_t j = begin; j < end; ++j) {
       if (failed.load(std::memory_order_relaxed)) return;
       const size_t i = keep != nullptr ? (*keep)[j] : j;
-      const table::Row& outer_row = outer->row(i);
+      outer->row(i).CopyTo(&outer_row);
       auto params_r = spec.param_binder(outer_row, det_only);
       if (!params_r.ok()) {
         record_error(params_r.status());
         return;
       }
       const table::Row& params = params_r.value();
-      out.det_rows_[j] = outer_row;
       uint64_t* mask = out.active_.data() + j * wpr;
       std::fill(mask, mask + wpr - 1, ~0ULL);
       mask[wpr - 1] = last_word;

@@ -44,13 +44,16 @@ Result<BundleTable> GenerateBundlesImpl(const MonteCarloDb& db,
 /// values. A query plan is then executed once, with per-repetition activity
 /// masks standing in for per-instance tuple existence.
 ///
-/// Storage is columnar (SoA): stochastic attribute k lives in one
-/// contiguous rep-major block where value (row i, rep r) is
-/// `stoch_block(k)[i * num_reps + r]`, and activity masks are packed into
-/// 64-bit words (`words_per_row()` words per row, padding bits zero). The
-/// filter/aggregate kernels are tight loops over these blocks — this is the
-/// batch-oriented layout that makes tuple-bundle execution amortize plan
-/// work across repetitions instead of chasing per-tuple pointers.
+/// Storage is columnar (SoA): the deterministic attributes are a
+/// table::Table (typed column blocks, shared with the outer table or with
+/// the table a filter derived from whenever no row is dropped), and
+/// stochastic attribute k lives in one contiguous rep-major block where
+/// value (row i, rep r) is `stoch_block(k)[i * num_reps + r]`. Activity
+/// masks are packed into 64-bit words (`words_per_row()` words per row,
+/// padding bits zero). The filter/aggregate kernels are tight loops over
+/// these blocks — this is the batch-oriented layout that makes tuple-bundle
+/// execution amortize plan work across repetitions instead of chasing
+/// per-tuple pointers.
 ///
 /// Parallelism: attach a ThreadPool with set_pool() and the kernels split
 /// the row range into fixed chunks of kRowGrain rows. Chunk boundaries and
@@ -70,7 +73,7 @@ class BundleTable {
                 "row chunks must cover whole 64-bit mask words");
 
   /// One logical tuple in row form: interchange type for Append()/row().
-  /// Internally the table is columnar; this materialized view exists for
+  /// Internally the table is columnar; this boxed form exists for
   /// row-at-a-time construction and debugging.
   struct BundleRow {
     table::Row det;
@@ -83,9 +86,9 @@ class BundleTable {
   BundleTable(table::Schema det_schema, std::vector<std::string> stoch_names,
               size_t num_reps);
 
-  const table::Schema& det_schema() const { return det_schema_; }
+  const table::Schema& det_schema() const { return det_.schema(); }
   size_t num_reps() const { return num_reps_; }
-  size_t num_rows() const { return det_rows_.size(); }
+  size_t num_rows() const { return det_.num_rows(); }
 
   /// Executor pool for the filter/map/aggregate kernels; nullptr (default)
   /// runs them serially. Not owned. Derived tables inherit the pool.
@@ -97,7 +100,7 @@ class BundleTable {
   /// hot code.
   BundleRow row(size_t i) const;
 
-  const table::Row& det_row(size_t i) const { return det_rows_[i]; }
+  table::RowView det_row(size_t i) const { return det_.row(i); }
 
   /// Contiguous rep-major value block of stochastic attribute k (64-byte
   /// aligned for the SIMD kernels).
@@ -118,18 +121,20 @@ class BundleTable {
   Result<size_t> StochIndex(const std::string& name) const;
 
   /// Approximate heap footprint of the bundle storage: stochastic value
-  /// blocks, packed mask words, and the deterministic rows counted
-  /// shallowly (vector capacities, not boxed Value payloads). This is what
-  /// the table reports to the `mcdb.bundle` memory pool (obs/mem.h).
+  /// blocks and packed mask words. This is what the table reports to the
+  /// `mcdb.bundle` memory pool (obs/mem.h); the deterministic column blocks
+  /// are charged to `table.columnar` and not counted again.
   uint64_t ApproxBytes() const;
 
   /// Appends a bundle row (arity- and length-checked).
   void Append(BundleRow row);
 
   /// sigma over deterministic attributes — evaluated ONCE for all
-  /// repetitions; this is where tuple bundles beat the naive loop. `pred`
-  /// must be safe to call concurrently (pure) when a pool is attached.
-  BundleTable FilterDet(const table::RowPredicate& pred) const;
+  /// repetitions; this is where tuple bundles beat the naive loop. The
+  /// predicate runs through table::VecFilterAll over the deterministic
+  /// column blocks; it must name a det_schema() column (ColumnCompare
+  /// against det_schema() checks that), and aborts otherwise.
+  BundleTable FilterDet(const table::PlanPredicate& pred) const;
 
   /// sigma over a stochastic attribute — updates activity masks
   /// per-repetition, keeping a tuple if it survives in at least one
@@ -138,8 +143,9 @@ class BundleTable {
                                   double threshold) const;
 
   /// Adds stochastic attribute `name` computed per-repetition from the
-  /// deterministic row and the existing stochastic values. `fn` must be
-  /// safe to call concurrently (pure) when a pool is attached.
+  /// deterministic row (boxed once per row) and the existing stochastic
+  /// values. `fn` must be safe to call concurrently (pure) when a pool is
+  /// attached.
   Result<BundleTable> MapStoch(
       const std::string& name,
       const std::function<double(const table::Row& det,
@@ -197,7 +203,8 @@ class BundleTable {
   }
 
   /// Copies the rows listed in `keep` (with per-row mask words taken from
-  /// `masks`, which may alias active_.data()) into `out`.
+  /// `masks`, which may alias active_.data()) into `out`; the deterministic
+  /// columns are shared when every row is kept and gathered otherwise.
   void GatherRows(const std::vector<uint32_t>& keep, const uint64_t* masks,
                   BundleTable* out) const;
 
@@ -212,11 +219,10 @@ class BundleTable {
     return *stoch_[k];
   }
 
-  table::Schema det_schema_;
+  table::Table det_;
   std::vector<std::string> stoch_names_;
   size_t num_reps_;
   size_t words_per_row_;
-  std::vector<table::Row> det_rows_;
   /// stoch_[k] has num_rows * num_reps doubles, rep-major per row. 64-byte
   /// aligned so a full activity word's 64 doubles share cache lines cleanly
   /// with the widest vector loads. Blocks are shared across derived tables
@@ -243,11 +249,6 @@ class BundleTable {
     mem_.Set(bytes);
   }
 
-  friend Result<BundleTable> GenerateBundles(const MonteCarloDb& db,
-                                             const StochasticTableSpec& spec,
-                                             const std::string& attr_name,
-                                             size_t num_reps, uint64_t seed,
-                                             ThreadPool* pool);
   friend Result<BundleTable> internal::GenerateBundlesImpl(
       const MonteCarloDb& db, const StochasticTableSpec& spec,
       const std::string& attr_name, size_t num_reps, uint64_t seed,

@@ -8,10 +8,6 @@ Status MonteCarloDb::AddTable(const std::string& name, table::Table t) {
   if (deterministic_.count(name) > 0) {
     return Status::AlreadyExists("table exists: " + name);
   }
-  // Columnar-backed tables make the per-repetition copy in Instantiate()
-  // a shared-pointer copy; tables only read through queries never pay for
-  // row materialization.
-  t = table::Table::FromColumnar(t.ToColumnar().value());
   deterministic_.emplace(name, std::move(t));
   return Status::OK();
 }
@@ -50,9 +46,10 @@ Result<DatabaseInstance> MonteCarloDb::Realize(Rng rng) const {
   for (const auto& spec : specs_) {
     const table::Table& outer = instance.at(spec.outer_table);
     table::Table realized(spec.output_schema);
-    realized.Reserve(outer.num_rows());  // >= one realized row per outer row
     std::vector<table::Row> vg_rows;
-    for (const table::Row& outer_row : outer.rows()) {
+    table::Row outer_row;
+    for (size_t i = 0; i < outer.num_rows(); ++i) {
+      outer.row(i).CopyTo(&outer_row);
       MDE_ASSIGN_OR_RETURN(table::Row params,
                            spec.param_binder(outer_row, instance));
       vg_rows.clear();

@@ -8,35 +8,9 @@
 #include "obs/trace.h"
 #include "table/catalog.h"
 #include "table/cost.h"
-#include "table/ops.h"
 #include "table/vec_ops.h"
 
 namespace mde::mcdb {
-
-namespace {
-
-/// Surviving outer-row indices (ascending) under the conjunction of
-/// `preds`, via the vectorized filter over the outer table's cached
-/// columnar blocks.
-Result<table::SelVector> SurvivingRows(
-    const table::Table& outer,
-    const std::vector<table::PlanPredicate>& preds, ThreadPool* pool) {
-  const auto columnar = outer.ToColumnar().value();
-  table::SelVector sel;
-  bool have_sel = false;
-  for (const auto& p : preds) {
-    MDE_ASSIGN_OR_RETURN(
-        table::SelVector next,
-        table::VecFilter(*columnar, have_sel ? &sel : nullptr, p.column,
-                         p.op, p.literal, pool));
-    sel = std::move(next);
-    have_sel = true;
-    if (sel.empty()) break;
-  }
-  return sel;
-}
-
-}  // namespace
 
 Result<BundleTable> GenerateBundlesWhere(
     const MonteCarloDb& db, const StochasticTableSpec& spec,
@@ -84,8 +58,9 @@ Result<BundleTable> GenerateBundlesWhere(
     det_preds = std::move(sorted);
   }
 
-  MDE_ASSIGN_OR_RETURN(table::SelVector keep,
-                       SurvivingRows(*outer, det_preds, pool));
+  MDE_ASSIGN_OR_RETURN(
+      table::SelVector keep,
+      table::VecFilterAll(*outer->columnar(), det_preds, pool));
   const size_t m = keep.size();
   MDE_OBS_COUNT("mcdb.pregen.rows_pruned", n - m);
   MDE_OBS_COUNT("mcdb.pregen.draws_saved", (n - m) * num_reps);

@@ -27,15 +27,15 @@ struct PregenReport {
 ///   GenerateBundles(...).FilterDet(p1 AND p2 AND ...)
 ///
 /// are hoisted BELOW the VG-function generation — the planner evaluates
-/// them against the outer table first (vectorized over its cached columnar
-/// blocks when available, ordered most-selective-first by the statistics
-/// catalog) and only the surviving rows ever bind parameters or draw Monte
-/// Carlo repetitions.
+/// them against the outer table first (table::VecFilterAll over its
+/// column blocks, ordered most-selective-first by the statistics catalog)
+/// and only the surviving rows ever bind parameters or draw Monte Carlo
+/// repetitions.
 ///
 /// Bit-identical to the generate-then-filter form for every thread count:
 /// each row's RNG substream is keyed by its original outer index, and the
-/// predicate semantics are exactly FilterDet's (nulls never match, numerics
-/// compare as double). Predicate evaluation order cannot change the
+/// predicate semantics are exactly FilterDet's (both filter through
+/// VecFilterAll). Predicate evaluation order cannot change the
 /// surviving set — ordering is purely a cost decision.
 Result<BundleTable> GenerateBundlesWhere(
     const MonteCarloDb& db, const StochasticTableSpec& spec,

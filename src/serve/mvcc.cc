@@ -36,9 +36,6 @@ VersionChain::VersionChain(size_t min_retain)
     : min_retain_(min_retain == 0 ? 1 : min_retain) {}
 
 uint64_t VersionChain::Install(simsql::DatabaseState state) {
-  // Table builds a columnar-backed table's rows on first access, without
-  // synchronization; readers of one pinned state would race there.
-  for (const auto& [name, table] : state) (void)table.rows();
   std::lock_guard<std::mutex> lock(mu_);
   const uint64_t epoch = epoch_.fetch_add(1, std::memory_order_relaxed) + 1;
   Version v;

@@ -91,9 +91,7 @@ class VersionChain {
 
   /// Installs `state` as the next version (numbers are consecutive from 0),
   /// retires the previous head, reclaims what the epoch + pin rules allow,
-  /// and returns the new version number. The row view of every
-  /// columnar-backed table is built first, so that concurrent readers'
-  /// `row()` calls only read.
+  /// and returns the new version number.
   uint64_t Install(simsql::DatabaseState state);
 
   /// Pins the newest version. Invalid ref iff nothing has been installed.

@@ -73,7 +73,8 @@ void PutTable(ckpt::SectionWriter* s, const table::Table& t) {
   }
   s->PutU64(t.num_rows());
   for (size_t i = 0; i < t.num_rows(); ++i) {
-    for (const table::Value& v : t.row(i)) PutValue(s, v);
+    const table::RowView row = t.row(i);
+    for (size_t c = 0; c < row.size(); ++c) PutValue(s, row[c]);
   }
 }
 
@@ -150,9 +151,6 @@ Status MarkovChainDb::AddDeterministic(const std::string& name,
   if (deterministic_.count(name) > 0) {
     return Status::AlreadyExists("table exists: " + name);
   }
-  // Re-wrap as columnar so the per-step state copies in Run() share
-  // immutable column blocks instead of deep-copying boxed rows.
-  t = table::Table::FromColumnar(t.ToColumnar().value());
   deterministic_.emplace(name, std::move(t));
   return Status::OK();
 }

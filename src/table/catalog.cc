@@ -199,7 +199,7 @@ std::shared_ptr<const TableStats> ComputeTableStats(const Table& t) {
   stats->schema = t.schema();
   const size_t ncols = t.schema().num_columns();
   stats->columns.reserve(ncols);
-  const auto columnar = t.ToColumnar().value();
+  const auto columnar = t.columnar();
   for (size_t c = 0; c < ncols; ++c) {
     stats->columns.push_back(
         ComputeColumnStatsColumnar(columnar->col(c), columnar->num_rows()));

@@ -66,10 +66,9 @@ std::shared_ptr<const TableStats> ComputeTableStats(const Table& t);
 
 /// Process-wide statistics catalog. Two roles:
 ///
-/// 1. *Base-table statistics*, memoized on the Table itself (the same
-///    discipline as the cached ToColumnar conversion): the first StatsFor
-///    call scans the table once, later calls are O(1). Mutating the table
-///    drops the cache.
+/// 1. *Base-table statistics*, memoized on the Table itself: the first
+///    StatsFor call scans the table once, later calls are O(1). Appending
+///    to the table drops the cache.
 /// 2. *Execution feedback*: after a profiled ExecutePlan, the actual
 ///    row counts per plan node are folded back in, keyed by the node's
 ///    structural fingerprint (cost.h). The cost model consults these

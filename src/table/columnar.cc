@@ -52,8 +52,7 @@ Value Column::ValueAt(size_t i) const {
 ColumnBuilder::ColumnBuilder(DataType type) {
   col_.type = type;
   if (type == DataType::kString) {
-    dict_ = std::make_shared<std::vector<std::string>>();
-    col_.dict = dict_;
+    col_.dict = std::make_shared<std::vector<std::string>>();
   }
 }
 
@@ -76,112 +75,135 @@ void ColumnBuilder::Reserve(size_t n) {
   }
 }
 
-void ColumnBuilder::MarkValid() {
-  if (has_nulls_) SetBit(&col_.valid, col_.size);
-  ++col_.size;
+namespace {
+
+// The append code proper, over a column its caller holds exclusively:
+// ColumnBuilder's own, or an unshared block of a Table (through
+// ColumnarTable::AppendRow).
+
+/// Counts row col->size as valid. The bitmap exists only once the column
+/// has held a null (empty = every row valid).
+void MarkValid(Column* col) {
+  if (!col->valid.empty()) {
+    if ((col->size >> 6) >= col->valid.size()) col->valid.push_back(0);
+    SetBit(&col->valid, col->size);
+  }
+  ++col->size;
 }
 
-void ColumnBuilder::MarkNull() {
-  if (!has_nulls_) {
-    // First null: backfill the bitmap with "valid" for every prior row.
-    has_nulls_ = true;
-    col_.valid.assign((std::max<size_t>(col_.size + 1, 64) + 63) / 64, 0);
-    for (size_t i = 0; i < col_.size; ++i) SetBit(&col_.valid, i);
-  }
-  ++col_.size;
-}
-
-void ColumnBuilder::AppendNull() {
-  if (has_nulls_ && (col_.size >> 6) >= col_.valid.size()) {
-    col_.valid.push_back(0);
-  }
-  switch (col_.type) {
+void AppendNullTo(Column* col) {
+  switch (col->type) {
     case DataType::kInt64:
-      col_.i64.push_back(0);
+      col->i64.push_back(0);
       break;
     case DataType::kDouble:
-      col_.f64.push_back(0.0);
+      col->f64.push_back(0.0);
       break;
     case DataType::kBool:
-      col_.b8.push_back(0);
+      col->b8.push_back(0);
       break;
     case DataType::kString:
-      col_.codes.push_back(0);
+      col->codes.push_back(0);
       break;
     case DataType::kNull:
       break;
   }
-  MarkNull();
+  if (col->valid.empty()) {
+    // First null: backfill the bitmap with "valid" for every prior row.
+    col->valid.assign((std::max<size_t>(col->size + 1, 64) + 63) / 64, 0);
+    for (size_t i = 0; i < col->size; ++i) SetBit(&col->valid, i);
+  } else if ((col->size >> 6) >= col->valid.size()) {
+    col->valid.push_back(0);
+  }
+  ++col->size;
 }
 
-void ColumnBuilder::AppendInt64(int64_t v) {
-  MDE_CHECK(col_.type == DataType::kInt64);
-  if (has_nulls_ && (col_.size >> 6) >= col_.valid.size()) {
-    col_.valid.push_back(0);
-  }
-  col_.i64.push_back(v);
-  MarkValid();
+template <typename T>
+void AppendTo(Column* col, DataType type, AlignedVector<T>* block, T v) {
+  MDE_CHECK(col->type == type);
+  block->push_back(v);
+  MarkValid(col);
 }
 
-void ColumnBuilder::AppendDouble(double v) {
-  MDE_CHECK(col_.type == DataType::kDouble);
-  if (has_nulls_ && (col_.size >> 6) >= col_.valid.size()) {
-    col_.valid.push_back(0);
+/// `interned` indexes a prefix of the column's dictionary (dictionaries
+/// only grow and are deduplicated) and catches up here; a dictionary
+/// still shared with another column is copied before it grows.
+void AppendStringTo(Column* col, InternIndex* interned, const std::string& v) {
+  MDE_CHECK(col->type == DataType::kString);
+  if (col->dict == nullptr) {
+    col->dict = std::make_shared<std::vector<std::string>>();
   }
-  col_.f64.push_back(v);
-  MarkValid();
-}
-
-void ColumnBuilder::AppendBool(bool v) {
-  MDE_CHECK(col_.type == DataType::kBool);
-  if (has_nulls_ && (col_.size >> 6) >= col_.valid.size()) {
-    col_.valid.push_back(0);
+  const std::vector<std::string>& dict = *col->dict;
+  if (interned->size() > dict.size()) interned->clear();
+  for (size_t k = interned->size(); k < dict.size(); ++k) {
+    interned->emplace(dict[k], static_cast<uint32_t>(k));
   }
-  col_.b8.push_back(v ? 1 : 0);
-  MarkValid();
-}
-
-void ColumnBuilder::AppendString(const std::string& v) {
-  MDE_CHECK(col_.type == DataType::kString);
-  if (has_nulls_ && (col_.size >> 6) >= col_.valid.size()) {
-    col_.valid.push_back(0);
-  }
-  auto it = interned_.find(v);
+  auto it = interned->find(v);
   uint32_t code;
-  if (it != interned_.end()) {
+  if (it != interned->end()) {
     code = it->second;
   } else {
-    code = static_cast<uint32_t>(dict_->size());
-    dict_->push_back(v);
-    interned_.emplace(v, code);
+    if (col->dict.use_count() != 1) {
+      col->dict = std::make_shared<std::vector<std::string>>(dict);
+    }
+    // Every dictionary is allocated non-const (here and in ColumnBuilder),
+    // and this column holds the only reference to it.
+    auto& grow = const_cast<std::vector<std::string>&>(*col->dict);
+    code = static_cast<uint32_t>(grow.size());
+    grow.push_back(v);
+    interned->emplace(v, code);
   }
-  col_.codes.push_back(code);
-  MarkValid();
+  AppendTo(col, DataType::kString, &col->codes, code);
 }
 
-bool ColumnBuilder::AppendValue(const Value& v) {
+/// False (and nothing appended) on a non-null cell of another type.
+bool AppendValueTo(Column* col, InternIndex* interned, const Value& v) {
   if (v.is_null()) {
-    AppendNull();
+    AppendNullTo(col);
     return true;
   }
-  if (v.type() != col_.type) return false;
-  switch (col_.type) {
+  if (v.type() != col->type) return false;
+  switch (col->type) {
     case DataType::kInt64:
-      AppendInt64(v.AsInt());
+      AppendTo(col, DataType::kInt64, &col->i64, v.AsInt());
       return true;
     case DataType::kDouble:
-      AppendDouble(v.AsDouble());
+      AppendTo(col, DataType::kDouble, &col->f64, v.AsDouble());
       return true;
     case DataType::kBool:
-      AppendBool(v.AsBool());
+      AppendTo<uint8_t>(col, DataType::kBool, &col->b8, v.AsBool());
       return true;
     case DataType::kString:
-      AppendString(v.AsString());
+      AppendStringTo(col, interned, v.AsString());
       return true;
     case DataType::kNull:
       return false;
   }
   return false;
+}
+
+}  // namespace
+
+void ColumnBuilder::AppendNull() { AppendNullTo(&col_); }
+
+void ColumnBuilder::AppendInt64(int64_t v) {
+  AppendTo(&col_, DataType::kInt64, &col_.i64, v);
+}
+
+void ColumnBuilder::AppendDouble(double v) {
+  AppendTo(&col_, DataType::kDouble, &col_.f64, v);
+}
+
+void ColumnBuilder::AppendBool(bool v) {
+  AppendTo<uint8_t>(&col_, DataType::kBool, &col_.b8, v);
+}
+
+void ColumnBuilder::AppendString(const std::string& v) {
+  AppendStringTo(&col_, &interned_, v);
+}
+
+bool ColumnBuilder::AppendValue(const Value& v) {
+  return AppendValueTo(&col_, &interned_, v);
 }
 
 namespace {
@@ -199,26 +221,36 @@ uint64_t ApproxColumnBytes(const Column& c) {
   return b;
 }
 
+obs::MemPool& ColumnarPool() {
+  // Resolved once; each event is a relaxed fetch_add.
+  static obs::MemPool pool("table.columnar");
+  return pool;
+}
+
+/// Deleter of an accounted block: frees what the block was charged, which
+/// Table's append path raises as the block grows.
+struct BlockCharge {
+  std::shared_ptr<Column> col;
+  uint64_t bytes;
+  void operator()(const Column*) {
+    ColumnarPool().RecordFree(bytes);
+    col.reset();
+  }
+};
+
 }  // namespace
 
 std::shared_ptr<const Column> AccountColumnBlock(
     std::shared_ptr<Column> col) {
   // Account the block to the table.columnar pool for exactly as long as any
-  // owner keeps it alive: alloc here, free in the shared_ptr deleter. The
-  // pool handle is resolved once; each event is a relaxed fetch_add.
-  static obs::MemPool pool("table.columnar");
+  // owner keeps it alive: alloc here, free in the shared_ptr deleter.
   const uint64_t bytes = ApproxColumnBytes(*col);
-  pool.RecordAlloc(bytes);
+  ColumnarPool().RecordAlloc(bytes);
   const Column* raw = col.get();
-  return std::shared_ptr<const Column>(
-      raw, [col = std::move(col), bytes](const Column*) mutable {
-        pool.RecordFree(bytes);
-        col.reset();
-      });
+  return std::shared_ptr<const Column>(raw, BlockCharge{std::move(col), bytes});
 }
 
 std::shared_ptr<const Column> ColumnBuilder::Finish() {
-  if (!has_nulls_) col_.valid.clear();
   AssertColumnAligned(col_);
   return AccountColumnBlock(std::make_shared<Column>(std::move(col_)));
 }
@@ -234,11 +266,30 @@ ColumnarTable::ColumnarTable(Schema schema,
   }
 }
 
-Row ColumnarTable::MaterializeRow(size_t i) const {
-  Row r;
-  r.reserve(cols_.size());
-  for (const auto& c : cols_) r.push_back(c->ValueAt(i));
-  return r;
+void ColumnarTable::AppendRow(const Row& row) {
+  MDE_CHECK_EQ(row.size(), cols_.size());
+  interned_.resize(cols_.size());
+  for (size_t c = 0; c < cols_.size(); ++c) {
+    if (cols_[c].use_count() != 1) {
+      cols_[c] = AccountColumnBlock(std::make_shared<Column>(*cols_[c]));
+    }
+    // Blocks are allocated non-const (make_shared<Column>), and this table
+    // holds the only reference to this one.
+    Column& col = const_cast<Column&>(*cols_[c]);
+    const uint64_t before = ApproxColumnBytes(col);
+    MDE_CHECK_MSG(AppendValueTo(&col, &interned_[c], row[c]),
+                  "cell type differs from declared column type");
+    // Growth is charged to the pool and to the block's deleter, so the free
+    // matches; a block built outside AccountColumnBlock stays uncharged.
+    const uint64_t grown = ApproxColumnBytes(col) - before;
+    if (grown == 0) continue;
+    if (BlockCharge* charge = std::get_deleter<BlockCharge>(cols_[c])) {
+      ColumnarPool().RecordAlloc(grown);
+      charge->bytes += grown;
+    }
+  }
+  ++num_rows_;
+  content_version_ = NextContentVersion();
 }
 
 ColumnarTableBuilder::ColumnarTableBuilder(Schema schema)

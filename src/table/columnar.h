@@ -48,15 +48,19 @@ struct Column {
     return valid.empty() || ((valid[i >> 6] >> (i & 63)) & 1u);
   }
 
-  /// Boxes row i back into a Value (null-aware). Materialization path only;
-  /// kernels read the typed vectors directly.
+  /// Boxes row i back into a Value (null-aware). Row-access path only
+  /// (Table::row, Table::At); kernels read the typed vectors directly.
   Value ValueAt(size_t i) const;
 
   const std::string& StringAt(size_t i) const { return (*dict)[codes[i]]; }
 };
 
+/// String -> dictionary code index of one string column.
+using InternIndex = std::unordered_map<std::string, uint32_t>;
+
 /// Append-oriented builder for one column. Interns strings and tracks the
 /// validity bitmap lazily (no bitmap is allocated until the first null).
+/// Table::Append writes through the same append code.
 class ColumnBuilder {
  public:
   explicit ColumnBuilder(DataType type);
@@ -73,17 +77,12 @@ class ColumnBuilder {
   /// must equal the column type. Returns false on type mismatch.
   bool AppendValue(const Value& v);
 
-  /// Finalizes (pads/shrinks the bitmap) and returns the column.
+  /// Finalizes and returns the column.
   std::shared_ptr<const Column> Finish();
 
  private:
-  void MarkValid();
-  void MarkNull();
-
   Column col_;
-  std::shared_ptr<std::vector<std::string>> dict_;
-  std::unordered_map<std::string, uint32_t> interned_;
-  bool has_nulls_ = false;
+  InternIndex interned_;
 };
 
 /// Wraps a freshly built column block with `table.columnar` memory-pool
@@ -92,12 +91,14 @@ class ColumnBuilder {
 /// ColumnBuilder::Finish and the vectorized operators' gather path.
 std::shared_ptr<const Column> AccountColumnBlock(std::shared_ptr<Column> col);
 
-/// Column-oriented relation: the storage representation behind the
-/// vectorized operator suite (vec_ops.h). Schemas are identical to Table
-/// schemas; `Table::ToColumnar` / `Table::FromColumnar` convert between the
-/// two, and Table keeps a shared_ptr back to the ColumnarTable it was
-/// materialized from so the conversion is O(1) for tables produced by the
-/// columnar pipeline.
+/// Column-oriented relation: the storage of every Table (table.h) and the
+/// input and output of the vectorized operator suite (vec_ops.h).
+///
+/// Immutable once shared: a ColumnarTable reachable from more than one
+/// owner never changes, so any number of threads may read it. The one
+/// writer is Table's append path, which grows a table only while it holds
+/// the only reference to it and to each block it writes (it copies a
+/// still-shared block first).
 class ColumnarTable {
  public:
   ColumnarTable(Schema schema, std::vector<std::shared_ptr<const Column>> cols,
@@ -108,21 +109,30 @@ class ColumnarTable {
   size_t num_columns() const { return cols_.size(); }
   /// Content-version stamp drawn from the same process-wide sequence as
   /// Table::content_version(); every Table wrapped over these blocks
-  /// reports it, so repeated wraps share plan feedback (cost.h).
+  /// reports it, so repeated wraps share plan feedback (cost.h). Table's
+  /// append path takes a fresh stamp per appended row.
   uint64_t content_version() const { return content_version_; }
   const Column& col(size_t i) const { return *cols_[i]; }
   const std::shared_ptr<const Column>& col_ptr(size_t i) const {
     return cols_[i];
   }
 
-  /// Boxes row i (materialization path).
-  Row MaterializeRow(size_t i) const;
-
  private:
+  friend class Table;
+
+  /// Table's append path. The caller holds the only reference to this
+  /// object; blocks shared with anyone else are copied before they grow,
+  /// and growth is charged to the `table.columnar` pool. Aborts on a cell
+  /// whose type differs from its column's (nothing survives the abort).
+  void AppendRow(const Row& row);
+
   Schema schema_;
   std::vector<std::shared_ptr<const Column>> cols_;
   size_t num_rows_ = 0;
   uint64_t content_version_ = NextContentVersion();
+  /// AppendRow's string-interning state, one index per column; empty
+  /// until the first append.
+  std::vector<InternIndex> interned_;
 };
 
 /// Builds a ColumnarTable column-by-column. Columns may be appended

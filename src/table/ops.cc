@@ -20,31 +20,11 @@ bool EvalCmp(const Value& v, CmpOp op, const Value& lit) {
   return false;
 }
 
-Result<RowPredicate> ColumnCompare(const Schema& schema,
-                                   const std::string& column, CmpOp op,
-                                   Value literal) {
-  MDE_ASSIGN_OR_RETURN(size_t idx, schema.IndexOf(column));
-  return RowPredicate([idx, op, lit = std::move(literal)](const Row& row) {
-    const Value& v = row[idx];
-    if (v.is_null() || lit.is_null()) return false;
-    return EvalCmp(v, op, lit);
-  });
-}
-
-RowPredicate And(RowPredicate a, RowPredicate b) {
-  return [a = std::move(a), b = std::move(b)](const Row& r) {
-    return a(r) && b(r);
-  };
-}
-
-RowPredicate Or(RowPredicate a, RowPredicate b) {
-  return [a = std::move(a), b = std::move(b)](const Row& r) {
-    return a(r) || b(r);
-  };
-}
-
-RowPredicate Not(RowPredicate a) {
-  return [a = std::move(a)](const Row& r) { return !a(r); };
+Result<PlanPredicate> ColumnCompare(const Schema& schema,
+                                    const std::string& column, CmpOp op,
+                                    Value literal) {
+  MDE_RETURN_NOT_OK(schema.IndexOf(column).status());
+  return PlanPredicate{column, op, std::move(literal)};
 }
 
 }  // namespace mde::table

@@ -1,7 +1,6 @@
 #ifndef MDE_TABLE_OPS_H_
 #define MDE_TABLE_OPS_H_
 
-#include <functional>
 #include <string>
 
 #include "table/table.h"
@@ -9,18 +8,21 @@
 
 namespace mde::table {
 
-/// Vocabulary shared by the query front ends (query.h, plan.h) and the
-/// vectorized executor (vec_ops.h): comparison operators, aggregate specs,
-/// and bound row predicates for consumers that test individual rows
-/// (mcdb::BundleTable::FilterDet). The relational operators themselves live
-/// in vec_ops.h only.
-
-/// Row predicate bound to a schema at build time so evaluation is a plain
-/// index lookup.
-using RowPredicate = std::function<bool(const Row&)>;
+/// Vocabulary shared by the query front ends (query.h, plan.h), the
+/// vectorized executor (vec_ops.h) and mcdb::BundleTable::FilterDet:
+/// comparison operators, column predicates and aggregate specs. The
+/// relational operators themselves live in vec_ops.h only.
 
 /// Comparison operators for column predicates.
 enum class CmpOp { kEq, kNe, kLt, kLe, kGt, kGe };
+
+/// A structured (and therefore optimizable) predicate: column <op> literal.
+/// Nulls never match; numerics compare as double across int64/double.
+struct PlanPredicate {
+  std::string column;
+  CmpOp op = CmpOp::kEq;
+  Value literal;
+};
 
 /// Evaluates `v <op> lit` with the Value comparison semantics the
 /// vectorized kernels implement (numeric coercion through double,
@@ -28,15 +30,11 @@ enum class CmpOp { kEq, kNe, kLt, kLe, kGt, kGe };
 /// null value or literal is false before this is consulted.
 bool EvalCmp(const Value& v, CmpOp op, const Value& lit);
 
-/// Builds a predicate `column <op> literal` resolved against `schema`.
-Result<RowPredicate> ColumnCompare(const Schema& schema,
-                                   const std::string& column, CmpOp op,
-                                   Value literal);
-
-/// Conjunction / disjunction / negation combinators.
-RowPredicate And(RowPredicate a, RowPredicate b);
-RowPredicate Or(RowPredicate a, RowPredicate b);
-RowPredicate Not(RowPredicate a);
+/// The predicate `column <op> literal`, with `column` checked against
+/// `schema`.
+Result<PlanPredicate> ColumnCompare(const Schema& schema,
+                                    const std::string& column, CmpOp op,
+                                    Value literal);
 
 /// Aggregate function kinds for Query::GroupByAgg / VecGroupBy.
 enum class AggKind { kCount, kSum, kAvg, kMin, kMax };

@@ -121,7 +121,7 @@ Result<ColumnarBatch> ExecBatchImpl(const PlanPtr& plan,
                                     ExecutionStats* stats, ThreadPool* pool) {
   switch (plan->kind()) {
     case PlanNode::Kind::kScan: {
-      MDE_ASSIGN_OR_RETURN(auto cols, plan->table()->ToColumnar());
+      auto cols = plan->table()->columnar();
       if (stats != nullptr) stats->rows_scanned += cols->num_rows();
       return ColumnarBatch{std::move(cols), {}, true};
     }

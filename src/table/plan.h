@@ -21,13 +21,6 @@ namespace mde::table {
 class PlanNode;
 using PlanPtr = std::shared_ptr<const PlanNode>;
 
-/// A structured (and therefore optimizable) predicate: column <op> literal.
-struct PlanPredicate {
-  std::string column;
-  CmpOp op = CmpOp::kEq;
-  Value literal;
-};
-
 class PlanNode {
  public:
   enum class Kind { kScan, kFilter, kProject, kJoin };

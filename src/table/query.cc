@@ -5,7 +5,7 @@
 namespace mde::table {
 
 Query::Query(Table input)
-    : batch_{std::move(input.ToColumnar()).value(), {}, true} {}
+    : batch_{input.columnar(), {}, true} {}
 
 Query& Query::Where(const std::string& column, CmpOp op, Value literal) {
   if (!status_.ok()) return *this;
@@ -34,7 +34,7 @@ Query& Query::Select(std::vector<std::string> columns) {
 Query& Query::Join(const Table& right, std::vector<std::string> left_keys,
                    std::vector<std::string> right_keys) {
   if (!status_.ok()) return *this;
-  ColumnarBatch rb{right.ToColumnar().value(), {}, true};
+  ColumnarBatch rb{right.columnar(), {}, true};
   auto res = VecHashJoin(batch_, rb, left_keys, right_keys, VecPool());
   if (!res.ok()) {
     status_ = res.status();

@@ -22,9 +22,8 @@ namespace mde::table {
 ///                .Execute();
 ///
 /// Execution: the chain runs on the vectorized columnar operators
-/// (vec_ops.h). The input converts to columnar form up front (always
-/// possible: Table is typed), then every step passes selection vectors
-/// between kernels and only materializes at Execute().
+/// (vec_ops.h) over the input's column blocks: every step passes selection
+/// vectors between kernels and only materializes at Execute().
 class Query {
  public:
   explicit Query(Table input);

@@ -74,8 +74,9 @@ Result<Table> SchemaMapping::Apply(const Table& source) const {
         "source table does not match the compiled source schema");
   }
   Table out(target_);
-  out.Reserve(source.num_rows());
-  for (const Row& row : source.rows()) {
+  Row row;  // scratch: each source row is boxed once
+  for (size_t r = 0; r < source.num_rows(); ++r) {
+    source.row(r).CopyTo(&row);
     Row target_row;
     target_row.reserve(columns_.size());
     for (const CompiledColumn& c : columns_) {
@@ -86,12 +87,18 @@ Result<Table> SchemaMapping::Apply(const Table& source) const {
         case ColumnMapping::Kind::kCast: {
           const Value& v = row[c.source_index];
           if (v.is_null()) {
-            target_row.push_back(Value());
+            target_row.emplace_back();
           } else if (c.target_type == DataType::kDouble) {
-            target_row.push_back(Value(v.AsDouble()));
+            target_row.emplace_back(v.AsDouble());
           } else {
-            target_row.push_back(
-                Value(static_cast<int64_t>(v.AsDouble())));
+            // Truncates toward zero; defined only on [-2^63, 2^63), and a
+            // NaN fails both bounds.
+            const double d = v.AsDouble();
+            if (!(d >= -0x1p63 && d < 0x1p63)) {
+              return Status::InvalidArgument(
+                  "cast to int64 out of range: " + v.ToString());
+            }
+            target_row.emplace_back(static_cast<int64_t>(d));
           }
           break;
         }

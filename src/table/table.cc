@@ -1,10 +1,9 @@
 #include "table/table.h"
 
+#include <algorithm>
 #include <atomic>
 #include <sstream>
 
-#include "obs/context.h"
-#include "obs/metrics.h"
 #include "table/columnar.h"
 #include "util/check.h"
 
@@ -66,137 +65,105 @@ std::string Schema::ToString() const {
   return os.str();
 }
 
-Table::Table(Schema schema, std::vector<Row> rows)
-    : schema_(std::move(schema)), rows_(std::move(rows)) {
-  for (const Row& r : rows_) CheckRow(r);
+size_t RowView::size() const { return table_->num_columns(); }
+
+Value RowView::operator[](size_t col) const {
+  return table_->col(col).ValueAt(row_);
+}
+
+Row RowView::ToRow() const {
+  Row r;
+  CopyTo(&r);
+  return r;
+}
+
+void RowView::CopyTo(Row* out) const {
+  out->resize(size());
+  for (size_t c = 0; c < out->size(); ++c) (*out)[c] = (*this)[c];
 }
 
 namespace {
 
-bool CellFits(const Value& v, const ColumnSpec& col) {
-  return v.is_null() || v.type() == col.type;
+/// Rows the blocks of a new table hold before their first reallocation:
+/// a table built by Append (a chain step's few rows, say) would otherwise
+/// reallocate every block at 1, 2, 4, ... rows.
+constexpr size_t kFirstRows = 64;
+
+std::shared_ptr<const ColumnarTable> EmptyColumnar(Schema schema) {
+  std::vector<std::shared_ptr<const Column>> cols;
+  cols.reserve(schema.num_columns());
+  for (const ColumnSpec& c : schema.columns()) {
+    ColumnBuilder b(c.type);
+    b.Reserve(kFirstRows);
+    cols.push_back(b.Finish());
+  }
+  return std::make_shared<ColumnarTable>(std::move(schema), std::move(cols),
+                                         0);
 }
 
 }  // namespace
 
-void Table::CheckRow(const Row& row) const {
-  MDE_CHECK_EQ(row.size(), schema_.num_columns());
-  for (size_t c = 0; c < row.size(); ++c) {
-    MDE_CHECK_MSG(CellFits(row[c], schema_.column(c)),
-                  "cell type differs from declared column type");
+Table::Table(Schema schema) : Table(EmptyColumnar(std::move(schema)), true) {}
+
+Table::Table(Schema schema, const std::vector<Row>& rows)
+    : Table(std::move(schema)) {
+  for (const Row& r : rows) Append(r);
+}
+
+const Schema& Table::schema() const { return columnar_->schema(); }
+
+size_t Table::num_rows() const { return columnar_->num_rows(); }
+
+uint64_t Table::content_version() const {
+  return columnar_->content_version();
+}
+
+RowView Table::row(size_t i) const {
+  MDE_CHECK_LT(i, num_rows());
+  return RowView(columnar_.get(), i);
+}
+
+ColumnarTable& Table::MutableColumnar() {
+  if (!own_columnar_ || columnar_.use_count() != 1) {
+    columnar_ = std::make_shared<ColumnarTable>(*columnar_);
+    own_columnar_ = true;
   }
+  // Allocated non-const just above or by a constructor, and unshared.
+  return const_cast<ColumnarTable&>(*columnar_);
 }
 
-size_t Table::num_rows() const {
-  return columnar_ != nullptr ? columnar_->num_rows() : rows_.size();
-}
-
-void Table::EnsureRows() const {
-  if (columnar_ == nullptr || rows_.size() == columnar_->num_rows()) return;
-  const size_t n = columnar_->num_rows();
-  rows_.clear();
-  rows_.reserve(n);
-  for (size_t i = 0; i < n; ++i) rows_.push_back(columnar_->MaterializeRow(i));
-}
-
-const Row& Table::row(size_t i) const {
-  EnsureRows();
-  return rows_[i];
-}
-
-const std::vector<Row>& Table::rows() const {
-  EnsureRows();
-  return rows_;
-}
-
-void Table::Append(Row row) {
-  CheckRow(row);
-  EnsureRows();
-  columnar_.reset();
+void Table::Append(const Row& row) {
   stats_.reset();
-  content_version_ = NextContentVersion();
-  rows_.push_back(std::move(row));
-}
-
-void Table::Reserve(size_t n) {
-  EnsureRows();
-  rows_.reserve(n);
+  MutableColumnar().AppendRow(row);
 }
 
 Result<Value> Table::At(size_t row, const std::string& column) const {
   MDE_CHECK_LT(row, num_rows());
-  MDE_ASSIGN_OR_RETURN(size_t idx, schema_.IndexOf(column));
-  if (columnar_ != nullptr && rows_.empty()) {
-    return columnar_->col(idx).ValueAt(row);
-  }
-  EnsureRows();
-  return rows_[row][idx];
-}
-
-void Table::Set(size_t row, size_t col, Value v) {
-  MDE_CHECK_LT(row, num_rows());
-  MDE_CHECK_LT(col, schema_.num_columns());
-  MDE_CHECK_MSG(CellFits(v, schema_.column(col)),
-                "cell type differs from declared column type");
-  EnsureRows();
-  columnar_.reset();
-  stats_.reset();
-  content_version_ = NextContentVersion();
-  rows_[row][col] = std::move(v);
-}
-
-Result<std::shared_ptr<const ColumnarTable>> Table::ToColumnar() const {
-  if (columnar_ != nullptr) {
-    // A reused cached conversion is work the active query did NOT pay for;
-    // the attribution row records how often each query rode the cache.
-    MDE_OBS_COUNT("table.columnar_cache_hits", 1);
-    MDE_OBS_ATTR_ADD(cache_hits, 1);
-    return columnar_;
-  }
-  std::vector<ColumnBuilder> builders;
-  builders.reserve(schema_.num_columns());
-  for (size_t c = 0; c < schema_.num_columns(); ++c) {
-    builders.emplace_back(schema_.column(c).type);
-    builders.back().Reserve(rows_.size());
-  }
-  for (const Row& r : rows_) {
-    for (size_t c = 0; c < builders.size(); ++c) {
-      // Cannot fail: Append/Set/the constructor admit only fitting cells.
-      MDE_CHECK(builders[c].AppendValue(r[c]));
-    }
-  }
-  std::vector<std::shared_ptr<const Column>> cols;
-  cols.reserve(builders.size());
-  for (auto& b : builders) cols.push_back(b.Finish());
-  columnar_ = std::make_shared<const ColumnarTable>(schema_, std::move(cols),
-                                                    rows_.size());
-  return columnar_;
+  MDE_ASSIGN_OR_RETURN(size_t idx, schema().IndexOf(column));
+  return columnar_->col(idx).ValueAt(row);
 }
 
 Table Table::FromColumnar(std::shared_ptr<const ColumnarTable> cols) {
   MDE_CHECK(cols != nullptr);
-  Table t(cols->schema());
   // Tables wrapped from the same immutable blocks share one stamp, so
   // re-wrapping (SimSQL copies deterministic tables into every version)
   // keeps plan feedback applicable across the wraps.
-  t.content_version_ = cols->content_version();
-  t.columnar_ = std::move(cols);
-  return t;
+  return Table(std::move(cols), false);
 }
 
 std::string Table::ToString(size_t max_rows) const {
-  EnsureRows();
   std::ostringstream os;
-  os << schema_.ToString() << " [" << rows_.size() << " rows]\n";
-  const size_t n = std::min(max_rows, rows_.size());
+  const size_t total = num_rows();
+  os << schema().ToString() << " [" << total << " rows]\n";
+  const size_t n = std::min(max_rows, total);
   for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j < rows_[i].size(); ++j) {
+    for (size_t j = 0; j < schema().num_columns(); ++j) {
       if (j > 0) os << " | ";
-      os << rows_[i][j].ToString();
+      os << columnar_->col(j).ValueAt(i).ToString();
     }
     os << "\n";
   }
-  if (n < rows_.size()) os << "... (" << rows_.size() - n << " more)\n";
+  if (n < total) os << "... (" << total - n << " more)\n";
   return os.str();
 }
 

@@ -58,72 +58,73 @@ using Row = std::vector<Value>;
 /// one was copied from the other unmutated.
 uint64_t NextContentVersion();
 
+/// Row i of a table, read through its column blocks: operator[] boxes one
+/// cell. Valid while the table is alive and not appended to.
+class RowView {
+ public:
+  RowView(const ColumnarTable* table, size_t row)
+      : table_(table), row_(row) {}
+
+  size_t size() const;
+  Value operator[](size_t col) const;
+  Row ToRow() const;
+  /// ToRow into `out`, reusing its storage (one scratch Row per loop).
+  void CopyTo(Row* out) const;
+
+ private:
+  const ColumnarTable* table_;
+  size_t row_;
+};
+
 /// In-memory relation. Rows are append-only through the public API;
 /// operators produce new tables.
 ///
 /// Typed: every non-null cell has exactly its column's declared type.
-/// Append, Set and the row constructor abort on a mismatched cell (no
-/// int64 -> double promotion); null is accepted in any column. Every table
-/// therefore converts to columnar form, and the columnar executor
-/// (vec_ops.h, driven by Query and ExecutePlan) is the only one.
+/// Append and the row constructor abort on a mismatched cell (no int64 ->
+/// double promotion); null is accepted in any column.
 ///
-/// Storage: a Table is either row-backed (vector of boxed rows, as built by
-/// Append) or columnar-backed — produced by the vectorized operator
-/// pipeline (columnar.h / vec_ops.h), in which case it carries a shared
-/// reference to the typed column blocks and materializes the boxed row view
-/// LAZILY on first row access. The row API is thus a view/materialization
-/// layer: pipelines that stay columnar (Query, plan execution, chained
-/// operators) never pay for boxing. Lazy materialization mutates a cache
-/// under const accessors, so a Table must not be shared across threads
-/// while unmaterialized; the concurrent substrate is ColumnarTable, which
-/// is immutable.
+/// Storage is columnar only: the contents are the typed column blocks of
+/// one ColumnarTable (columnar.h), which the vectorized executor (vec_ops.h)
+/// reads directly; row(i) and At box cells on demand. Copies share the
+/// blocks. Append writes typed cells in place while this table holds the
+/// only reference to a block, and copies a block that another Table or a
+/// published ColumnarTable still shares. No const member writes the
+/// contents, so any number of threads may read one Table at once.
 class Table {
  public:
-  Table() = default;
-  explicit Table(Schema schema) : schema_(std::move(schema)) {}
-  Table(Schema schema, std::vector<Row> rows);
+  Table() : Table(Schema()) {}
+  explicit Table(Schema schema);
+  Table(Schema schema, const std::vector<Row>& rows);
 
-  const Schema& schema() const { return schema_; }
+  const Schema& schema() const;
   size_t num_rows() const;
-  const Row& row(size_t i) const;
-  const std::vector<Row>& rows() const;
+  /// Row i (checked), as a view over the column blocks.
+  RowView row(size_t i) const;
 
   /// Appends a row; aborts if arity mismatches the schema or a non-null
-  /// cell's type differs from its column's. Detaches the columnar
-  /// representation (the blocks are immutable).
-  void Append(Row row);
-
-  /// Pre-sizes the row storage (cardinality-estimate reserve in operators).
-  void Reserve(size_t n);
+  /// cell's type differs from its column's. Amortised O(1) per row.
+  void Append(const Row& row);
 
   /// Value at (row, named column); error if the column is absent.
   Result<Value> At(size_t row, const std::string& column) const;
 
-  /// In-place mutation used by the simulation layers that model agent state
-  /// as rows (Indemics node updates, SimSQL versions mutate copies). Aborts
-  /// on a non-null `v` whose type differs from the column's.
-  void Set(size_t row, size_t col, Value v);
-
-  /// The attached columnar representation, or nullptr for row-backed
-  /// tables whose conversion is not cached yet.
+  /// The contents: never null. Valid until the next Append.
   const std::shared_ptr<const ColumnarTable>& columnar() const {
     return columnar_;
   }
 
-  /// Converts to a columnar representation and caches it on the table, so
-  /// repeated scans of the same base table (plan execution, Query) convert
-  /// once. O(1) when already attached. Never fails: the typed contract
-  /// above guarantees every cell fits its column. Mutates the cache under
-  /// const — same single-thread caveat as lazy row materialization.
-  Result<std::shared_ptr<const ColumnarTable>> ToColumnar() const;
+  /// columnar() as a Result; never fails.
+  Result<std::shared_ptr<const ColumnarTable>> ToColumnar() const {
+    return columnar_;
+  }
 
-  /// Wraps a columnar table; the boxed row view is built on first access.
+  /// Wraps a columnar table, sharing its blocks.
   static Table FromColumnar(std::shared_ptr<const ColumnarTable> cols);
 
   /// Memoized per-column statistics (catalog.h). Computed on first
-  /// Catalog::StatsFor call and dropped by any mutation, the same
-  /// discipline as the cached columnar conversion. Same single-thread
-  /// caveat: the cache mutates under const.
+  /// Catalog::StatsFor call and dropped by Append. Not contents: the cache
+  /// mutates under const, so a Table whose statistics are computed
+  /// concurrently must not be shared across threads.
   const std::shared_ptr<const TableStats>& stats_cache() const {
     return stats_;
   }
@@ -131,36 +132,30 @@ class Table {
     stats_ = std::move(s);
   }
 
-  /// Content-version stamp: process-unique for this table's current
-  /// contents. Copies share the stamp (contents are equal at copy time);
-  /// any mutation (Append / Set) takes a fresh stamp, and tables wrapped
-  /// from the same ColumnarTable share its stamp. The plan-fingerprint
-  /// feedback key (cost.h) salts scans with this, so execution actuals
-  /// recorded against one contents state can never poison cardinality
-  /// estimates after the table mutates — even when the row count happens
-  /// to stay the same (a Set-heavy chain transition, say).
-  uint64_t content_version() const { return content_version_; }
+  /// Content-version stamp of the ColumnarTable: process-unique for these
+  /// contents. Copies and wraps of one ColumnarTable share it; each Append
+  /// takes a fresh one. The plan-fingerprint feedback key (cost.h) salts
+  /// scans with it, so actuals recorded against one contents state never
+  /// poison cardinality estimates for another.
+  uint64_t content_version() const;
 
   /// Pretty-printed preview of up to `max_rows` rows.
   std::string ToString(size_t max_rows = 20) const;
 
  private:
-  /// Materializes rows_ from columnar_ if not yet done.
-  void EnsureRows() const;
-  /// Aborts unless `row` has the schema's arity and every non-null cell
-  /// has its column's declared type.
-  void CheckRow(const Row& row) const;
+  Table(std::shared_ptr<const ColumnarTable> cols, bool own)
+      : columnar_(std::move(cols)), own_columnar_(own) {}
 
-  Schema schema_;
-  mutable std::vector<Row> rows_;
-  /// Non-null while columnar-backed; rows_ empty until materialized (or the
-  /// table has zero rows). Reset by any mutation; also a cache for
-  /// ToColumnar on row-backed tables, hence mutable.
-  mutable std::shared_ptr<const ColumnarTable> columnar_;
-  /// Memoized statistics; reset together with columnar_ on mutation.
+  /// columnar_, copied first unless this table allocated it and holds the
+  /// only reference.
+  ColumnarTable& MutableColumnar();
+
+  std::shared_ptr<const ColumnarTable> columnar_;
+  /// True when columnar_ was allocated here (non-const); a wrapped
+  /// ColumnarTable is copied before its first append.
+  bool own_columnar_;
+  /// Memoized statistics; reset on Append.
   mutable std::shared_ptr<const TableStats> stats_;
-  /// See content_version().
-  uint64_t content_version_ = NextContentVersion();
 };
 
 }  // namespace mde::table

@@ -643,6 +643,20 @@ Result<SelVector> VecFilter(const ColumnarTable& t, const SelVector* sel,
   return r;
 }
 
+Result<SelVector> VecFilterAll(const ColumnarTable& t,
+                               const std::vector<PlanPredicate>& preds,
+                               ThreadPool* pool) {
+  MDE_CHECK(!preds.empty());
+  SelVector sel;
+  for (size_t p = 0; p < preds.size(); ++p) {
+    MDE_ASSIGN_OR_RETURN(
+        sel, VecFilter(t, p == 0 ? nullptr : &sel, preds[p].column,
+                       preds[p].op, preds[p].literal, pool));
+    if (sel.empty()) break;
+  }
+  return sel;
+}
+
 Result<ColumnarBatch> VecProject(const ColumnarBatch& in,
                                  const std::vector<std::string>& columns) {
   MDE_TRACE_SPAN("vec.project");

@@ -63,9 +63,8 @@ struct ColumnarBatch {
   size_t size() const { return whole ? cols->num_rows() : sel.size(); }
 };
 
-/// Materializes a batch as a row Table (compacting through the selection if
-/// needed). The result keeps its columnar representation attached, so the
-/// boxed rows are only built if someone actually reads them.
+/// Materializes a batch as a Table (compacting through the selection if
+/// needed); a whole batch is wrapped without copying.
 Table BatchToTable(const ColumnarBatch& batch, ThreadPool* pool);
 
 /// Gathers the selected rows of `t` into a contiguous ColumnarTable.
@@ -82,6 +81,13 @@ std::shared_ptr<const ColumnarTable> VecCompact(const ColumnarTable& t,
 Result<SelVector> VecFilter(const ColumnarTable& t, const SelVector* sel,
                             const std::string& column, CmpOp op,
                             const Value& literal, ThreadPool* pool);
+
+/// Rows of `t` (ascending indices) satisfying every predicate in the
+/// non-empty `preds`, each evaluated by VecFilter over the survivors of the
+/// previous one. Shared by FilterDet and the pre-generation planner.
+Result<SelVector> VecFilterAll(const ColumnarTable& t,
+                               const std::vector<PlanPredicate>& preds,
+                               ThreadPool* pool);
 
 /// pi: narrows a batch to the named columns (zero-copy — column blocks and
 /// the selection are shared).

@@ -66,8 +66,9 @@ TEST(BayesianGibbsTest, NormalGammaPosteriorViaChainTables) {
                                    Rng& rng) -> Result<Table> {
     const double mu = prev.at("MU").row(0)[0].AsDouble();
     double ss = 0.0;
-    for (const auto& row : cur.at("DATA").rows()) {
-      const double d = row[0].AsDouble() - mu;
+    const Table& data = cur.at("DATA");
+    for (size_t i = 0; i < data.num_rows(); ++i) {
+      const double d = data.row(i)[0].AsDouble() - mu;
       ss += d * d;
     }
     const double a = prior.a0 + (static_cast<double>(n) + 1.0) / 2.0;

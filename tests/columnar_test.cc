@@ -34,8 +34,8 @@ void ExpectTablesIdentical(const Table& a, const Table& b,
       << b.schema().ToString();
   ASSERT_EQ(a.num_rows(), b.num_rows()) << what;
   for (size_t i = 0; i < a.num_rows(); ++i) {
-    const Row& ra = a.row(i);
-    const Row& rb = b.row(i);
+    const RowView ra = a.row(i);
+    const RowView rb = b.row(i);
     for (size_t j = 0; j < ra.size(); ++j) {
       ASSERT_TRUE(ra[j] == rb[j])
           << what << ": row " << i << " col " << j << ": " << ra[j].ToString()
@@ -209,45 +209,70 @@ TEST(ColumnarTableTest, ToColumnarCachesOnTheTable) {
 }
 
 TEST(ColumnarTableTest, MutationDetachesColumnarRepresentation) {
-  Table t{Schema({{"a", DataType::kInt64}})};
-  t.Append({Value(int64_t{1})});
-  ASSERT_TRUE(t.ToColumnar().ok());
-  EXPECT_NE(t.columnar(), nullptr);
-  t.Append({Value(int64_t{2})});
-  EXPECT_EQ(t.columnar(), nullptr);
-  EXPECT_EQ(t.num_rows(), 2u);
+  Table t{Schema({{"a", DataType::kInt64}, {"s", DataType::kString}})};
+  t.Append({Value(int64_t{1}), Value("x")});
+  // Unshared: Append grows the blocks in place.
+  const ColumnarTable* own = t.columnar().get();
+  t.Append({Value(int64_t{2}), Value("y")});
+  EXPECT_EQ(t.columnar().get(), own);
+  // A published ColumnarTable and a copied Table never see later appends.
+  const std::shared_ptr<const ColumnarTable> published = t.columnar();
+  const Table copy = t;
+  const uint64_t stamp = t.content_version();
+  t.Append({Value(int64_t{3}), Value("x")});
+  t.Append({Value(int64_t{4}), Value("z")});
+  EXPECT_NE(t.columnar(), published);
+  EXPECT_NE(t.content_version(), stamp);
+  EXPECT_EQ(published->num_rows(), 2u);
+  EXPECT_EQ(published->col(1).dict->size(), 2u);
+  EXPECT_EQ(copy.num_rows(), 2u);
+  EXPECT_EQ(copy.content_version(), stamp);
+  EXPECT_EQ(t.num_rows(), 4u);
+  EXPECT_EQ(t.row(2)[1].AsString(), "x");
+  EXPECT_EQ(t.row(3)[1].AsString(), "z");
+  EXPECT_EQ(copy.row(1)[1].AsString(), "y");
+  // A wrapped ColumnarTable is never written either.
+  Table wrapped = Table::FromColumnar(published);
+  wrapped.Append({Value(int64_t{5}), Value("w")});
+  EXPECT_EQ(published->num_rows(), 2u);
+  EXPECT_EQ(published->col(1).dict->size(), 2u);
+  EXPECT_EQ(wrapped.num_rows(), 3u);
+  EXPECT_EQ(wrapped.row(2)[1].AsString(), "w");
+  EXPECT_EQ(wrapped.row(1)[1].AsString(), "y");
 }
 
 TEST(ColumnarTableDeathTest, MismatchedCellIsRejected) {
-  // Append/Set/ctor reject a mismatched cell; null is accepted in any column.
+  // Append and the ctor reject a mismatched cell; null is accepted in any
+  // column.
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   const Schema schema({{"a", DataType::kInt64}});
   Table t{schema};
   t.Append({Value(int64_t{1})});
   t.Append({Value()});
-  t.Set(0, 0, Value());
   Table ok_rows(schema, {{Value(int64_t{2})}, {Value()}});
   EXPECT_EQ(ok_rows.num_rows(), 2u);
   const char* kMsg = "differs from declared column type";
   EXPECT_DEATH(t.Append({Value(2.5)}), kMsg);  // no int64 -> double widening
-  EXPECT_DEATH(t.Set(1, 0, Value("x")), kMsg);
   EXPECT_DEATH(Table(schema, {{Value(true)}}), kMsg);
   // Every table that exists converts.
   EXPECT_TRUE(t.ToColumnar().ok());
 }
 
-TEST(ColumnarTableTest, LazyRowMaterialization) {
+TEST(ColumnarTableTest, RowViewReadsTheColumns) {
   ColumnarTableBuilder b{Schema({{"a", DataType::kInt64}})};
   for (int i = 0; i < 10; ++i) b.column(0).AppendInt64(i);
   auto cols = b.Finish();
   ASSERT_TRUE(cols.ok());
   Table t = Table::FromColumnar(cols.value());
   EXPECT_EQ(t.num_rows(), 10u);
-  auto v = t.At(3, "a");  // cell access without materializing
+  auto v = t.At(3, "a");
   ASSERT_TRUE(v.ok());
   EXPECT_TRUE(v.value() == Value(int64_t{3}));
-  EXPECT_EQ(t.rows().size(), 10u);  // materializes
+  EXPECT_EQ(t.row(9).size(), 1u);
   EXPECT_TRUE(t.row(9)[0] == Value(int64_t{9}));
+  EXPECT_TRUE(t.row(9).ToRow() == Row{Value(int64_t{9})});
+  // Reading is not a mutation: the wrapped blocks are the contents.
+  EXPECT_EQ(t.columnar(), cols.value());
 }
 
 // ---------------------------------------------------------------------------
@@ -268,7 +293,7 @@ void RunFilterDifferential(Rng& rng, ThreadPool* pool) {
   const CmpOp op = RandomOp(rng);
   const Value lit = RandomLiteral(rng);
 
-  auto pred = ColumnCompare(t.schema(), col, op, lit);
+  auto pred = RowCompare(t.schema(), col, op, lit);
   auto cols = t.ToColumnar();
   ASSERT_TRUE(cols.ok());
   auto sel = VecFilter(*cols.value(), nullptr, col, op, lit, pool);
@@ -418,7 +443,7 @@ TEST(ColumnarDifferentialTest, QueryChainMatchesRowComposition) {
                  .Limit(25)
                  .Execute();
 
-    auto pred = ColumnCompare(t.schema(), fcol, op, lit);
+    auto pred = RowCompare(t.schema(), fcol, op, lit);
     ASSERT_TRUE(pred.ok());
     auto joined = HashJoin(Filter(t, pred.value()), u, {lk}, {rk});
     ASSERT_EQ(q.ok(), joined.ok());
@@ -439,7 +464,7 @@ TEST(ColumnarDifferentialTest, WhereThenDistinctMatchesRowComposition) {
     auto q = Query(t).Where(fcol, op, lit).Distinct().Execute();
     ASSERT_TRUE(q.ok());
 
-    auto pred = ColumnCompare(t.schema(), fcol, op, lit);
+    auto pred = RowCompare(t.schema(), fcol, op, lit);
     ASSERT_TRUE(pred.ok());
     Table ref = Distinct(Filter(t, pred.value()));
     ExpectTablesIdentical(ref, q.value(), "where + distinct chain");
@@ -467,7 +492,7 @@ TEST(ColumnarDifferentialTest, PlanExecutorMatchesRowOperators) {
     auto joined = HashJoin(l, r, {lk}, {rk});
     ASSERT_EQ(got.ok(), joined.ok());
     if (!got.ok()) continue;
-    auto pred = ColumnCompare(joined.value().schema(), fc, op, lit);
+    auto pred = RowCompare(joined.value().schema(), fc, op, lit);
     ASSERT_TRUE(pred.ok());
     Table ref = Filter(joined.value(), pred.value());
     ExpectTablesIdentical(ref, got.value(), "plan execution");
@@ -651,7 +676,7 @@ TEST(VecOpsTest, Int64FilterCoercesThroughDoubleAt2To53) {
   Table t{Schema({{"v", DataType::kInt64}})};
   t.Append({Value(edge)});
   t.Append({Value(edge + 1)});
-  auto pred = ColumnCompare(t.schema(), "v", CmpOp::kEq, Value(edge));
+  auto pred = RowCompare(t.schema(), "v", CmpOp::kEq, Value(edge));
   ASSERT_TRUE(pred.ok());
   Table ref = Filter(t, pred.value());
   EXPECT_EQ(ref.num_rows(), 2u);  // both "equal" after coercion
@@ -709,14 +734,16 @@ TEST(DictPushdownTest, StringEqNeMatchesRowPath) {
                             Value("zed")};
   for (const Value& lit : literals) {
     for (CmpOp op : {CmpOp::kEq, CmpOp::kNe}) {
-      auto pred = ColumnCompare(t.schema(), "s", op, lit);
+      auto pred = RowCompare(t.schema(), "s", op, lit);
       ASSERT_TRUE(pred.ok());
       // Dense path.
       auto sel = VecFilter(ct, nullptr, "s", op, lit, nullptr);
       ASSERT_TRUE(sel.ok());
       SelVector expect;
       for (size_t i = 0; i < t.num_rows(); ++i) {
-        if (pred.value()(t.row(i))) expect.push_back(static_cast<uint32_t>(i));
+        if (pred.value()(t.row(i).ToRow())) {
+          expect.push_back(static_cast<uint32_t>(i));
+        }
       }
       EXPECT_EQ(sel.value(), expect)
           << "dense " << lit.ToString() << " op " << static_cast<int>(op);
@@ -725,7 +752,7 @@ TEST(DictPushdownTest, StringEqNeMatchesRowPath) {
       ASSERT_TRUE(sel2.ok());
       SelVector expect2;
       for (uint32_t i : pre.value()) {
-        if (pred.value()(t.row(i))) expect2.push_back(i);
+        if (pred.value()(t.row(i).ToRow())) expect2.push_back(i);
       }
       EXPECT_EQ(sel2.value(), expect2)
           << "sel " << lit.ToString() << " op " << static_cast<int>(op);
@@ -742,7 +769,7 @@ TEST(DictPushdownTest, StringEqNeMatchesRowPath) {
 std::vector<std::string> SortedRowStrings(const Table& t) {
   std::vector<std::string> out;
   out.reserve(t.num_rows());
-  for (const Row& r : t.rows()) {
+  for (const Row& r : Rows(t)) {
     std::string s;
     for (const Value& v : r) {
       s += v.ToString();

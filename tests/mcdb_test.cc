@@ -11,6 +11,7 @@
 #include "mcdb/mcdb.h"
 #include "mcdb/pregen.h"
 #include "mcdb/vg_function.h"
+#include "reference_ops.h"
 #include "table/query.h"
 #include "util/distributions.h"
 #include "util/stats.h"
@@ -198,6 +199,30 @@ TEST(BundleTest, AggregateMatchesNaiveDistribution) {
   EXPECT_NEAR(StdDev(sums.value()), 15.0 / std::sqrt(100.0), 0.4);
 }
 
+/// Bundles over deterministic columns of every comparison class: PID
+/// (int64), W (double, every fifth null) and NAME (string, some null), with
+/// one stochastic attribute and a few inactive repetitions.
+BundleTable MixedDetBundles(size_t rows, size_t reps) {
+  BundleTable t(Schema({{"PID", DataType::kInt64},
+                        {"W", DataType::kDouble},
+                        {"NAME", DataType::kString}}),
+                {"X"}, reps);
+  const char* names[] = {"ann", "bob", "cy", "dee"};
+  Rng rng(5);
+  for (size_t i = 0; i < rows; ++i) {
+    BundleTable::BundleRow r;
+    r.det = {Value(static_cast<int64_t>(i)),
+             i % 5 == 0 ? Value() : Value(0.5 * static_cast<double>(i)),
+             i % 7 == 3 ? Value() : Value(names[i % 4])};
+    r.stoch.assign(1, std::vector<double>(reps));
+    for (double& x : r.stoch[0]) x = rng.NextDouble();
+    r.active.assign(reps, 1);
+    if (i % 3 == 0) r.active[i % reps] = 0;
+    t.Append(std::move(r));
+  }
+  return t;
+}
+
 TEST(BundleTest, FilterDetAppliesOnce) {
   MonteCarloDb db = MakeSbpDb(120.0, 10.0, 40);
   auto bundles =
@@ -208,6 +233,48 @@ TEST(BundleTest, FilterDetAppliesOnce) {
   ASSERT_TRUE(pred.ok());
   BundleTable females = bundles.value().FilterDet(pred.value());
   EXPECT_EQ(females.num_rows(), 20u);
+
+  // Parity with the row semantics of reference_ops' RowCompare, serially
+  // and on pools of 1, 2 and 8 threads: nulls never
+  // match (not even under kNe), an int64 column compares with a double
+  // literal as double, strings compare lexicographically.
+  const BundleTable mixed = MixedDetBundles(600, 5);
+  const std::vector<table::PlanPredicate> cases = {
+      {"W", CmpOp::kGt, Value(100.0)},
+      {"W", CmpOp::kNe, Value(50.0)},
+      {"PID", CmpOp::kLe, Value(299.5)},
+      {"PID", CmpOp::kEq, Value(42.0)},
+      {"NAME", CmpOp::kNe, Value("bob")},
+      {"NAME", CmpOp::kLt, Value("cy")}};
+  for (const table::PlanPredicate& c : cases) {
+    const std::string what = c.column + " " + c.literal.ToString();
+    auto plan_pred =
+        table::ColumnCompare(mixed.det_schema(), c.column, c.op, c.literal);
+    auto row_pred =
+        table::RowCompare(mixed.det_schema(), c.column, c.op, c.literal);
+    ASSERT_TRUE(plan_pred.ok() && row_pred.ok()) << what;
+    std::vector<size_t> keep;
+    for (size_t i = 0; i < mixed.num_rows(); ++i) {
+      if (row_pred.value()(mixed.det_row(i).ToRow())) keep.push_back(i);
+    }
+    ASSERT_GT(keep.size(), 0u) << what;
+    ASSERT_LT(keep.size(), mixed.num_rows()) << what;
+    for (size_t threads : {size_t{0}, size_t{1}, size_t{2}, size_t{8}}) {
+      std::unique_ptr<ThreadPool> pool;
+      if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
+      BundleTable in = mixed;
+      in.set_pool(pool.get());
+      const BundleTable out = in.FilterDet(plan_pred.value());
+      ASSERT_EQ(out.num_rows(), keep.size()) << what;
+      for (size_t j = 0; j < keep.size(); ++j) {
+        const BundleTable::BundleRow got = out.row(j);
+        const BundleTable::BundleRow want = mixed.row(keep[j]);
+        ASSERT_TRUE(got.det == want.det) << what << " row " << j;
+        ASSERT_EQ(got.stoch, want.stoch) << what << " row " << j;
+        ASSERT_EQ(got.active, want.active) << what << " row " << j;
+      }
+    }
+  }
 }
 
 TEST(BundleTest, FilterStochIsPerRepetition) {
@@ -277,7 +344,9 @@ BundleBytes Snapshot(const BundleTable& t, size_t num_stoch) {
     s.blocks.emplace_back(t.stoch_block(k).begin(), t.stoch_block(k).end());
   }
   s.active.assign(t.active_words().begin(), t.active_words().end());
-  for (size_t i = 0; i < t.num_rows(); ++i) s.det.push_back(t.det_row(i));
+  for (size_t i = 0; i < t.num_rows(); ++i) {
+    s.det.push_back(t.det_row(i).ToRow());
+  }
   return s;
 }
 
@@ -319,9 +388,11 @@ TEST(BundleTest, ParallelGatherIsBitIdentical) {
                                seed, pool);
     EXPECT_TRUE(gen.ok());
     stages.push_back(Snapshot(gen.value(), 1));
-    const BundleTable det = gen.value().FilterDet([](const Row& r) {
-      return (r[0].AsInt() * 7919) % 13 < 6;
-    });
+    // GENDER alternates, so the kept rows are scattered.
+    auto female = table::ColumnCompare(gen.value().det_schema(), "GENDER",
+                                       CmpOp::kEq, "F");
+    EXPECT_TRUE(female.ok());
+    const BundleTable det = gen.value().FilterDet(female.value());
     EXPECT_GT(det.num_rows(), 250u);
     EXPECT_LT(det.num_rows(), 450u);
     stages.push_back(Snapshot(det, 1));
@@ -473,8 +544,8 @@ void ExpectBundlesBitIdentical(const BundleTable& a, const BundleTable& b,
   ASSERT_EQ(a.num_rows(), b.num_rows()) << what;
   ASSERT_EQ(a.num_reps(), b.num_reps()) << what;
   for (size_t i = 0; i < a.num_rows(); ++i) {
-    const Row& ra = a.det_row(i);
-    const Row& rb = b.det_row(i);
+    const table::RowView ra = a.det_row(i);
+    const table::RowView rb = b.det_row(i);
     ASSERT_EQ(ra.size(), rb.size()) << what;
     for (size_t c = 0; c < ra.size(); ++c) {
       ASSERT_TRUE(ra[c] == rb[c]) << what << ": det row " << i;
@@ -548,7 +619,7 @@ TEST(PregenTest, BitIdenticalAcrossThreadCounts) {
                                  Value(int64_t{700}));
   ASSERT_TRUE(p1.ok() && p2.ok());
   BundleTable expect =
-      full.value().FilterDet(table::And(p1.value(), p2.value()));
+      full.value().FilterDet(p1.value()).FilterDet(p2.value());
   ExpectBundlesBitIdentical(expect, serial.value(), "conjunction");
 }
 

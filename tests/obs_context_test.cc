@@ -100,7 +100,8 @@ simsql::ChainTableSpec MakeWalkerSpec(size_t walkers) {
                        Rng& rng) -> Result<Table> {
     const Table& old = prev.at("WALKERS");
     Table t(old.schema());
-    for (const Row& r : old.rows()) {
+    for (size_t i = 0; i < old.num_rows(); ++i) {
+      const table::RowView r = old.row(i);
       t.Append({r[0], Value(r[1].AsDouble() + SampleStandardNormal(rng))});
     }
     return t;

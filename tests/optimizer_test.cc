@@ -41,10 +41,11 @@ Table Customers(size_t n = 100) {
 std::vector<std::string> RowStrings(const Table& t) {
   std::vector<std::string> out;
   out.reserve(t.num_rows());
-  for (const Row& r : t.rows()) {
+  for (size_t i = 0; i < t.num_rows(); ++i) {
+    const RowView r = t.row(i);
     std::string s;
-    for (const Value& v : r) {
-      s += v.ToString();
+    for (size_t c = 0; c < r.size(); ++c) {
+      s += r[c].ToString();
       s += '|';
     }
     out.push_back(std::move(s));
@@ -406,11 +407,12 @@ TEST(FeedbackTest, MutationInvalidatesFeedbackEvenAtSameRowCount) {
   ASSERT_TRUE(Catalog::Global().LookupActual(fp_before, &fed_back));
   EXPECT_EQ(fed_back, actual);
 
-  // Overwrite every amount in place: the row count is unchanged, but the
-  // recorded actual (≈900 matches) is now wildly stale (0 match).
-  for (size_t r = 0; r < t.num_rows(); ++r) {
-    t.Set(r, 1, Value(-1.0));
-  }
+  // Rebuild the table behind the plan's scan with every amount changed:
+  // the row count is unchanged, but the recorded actual (≈900 matches) is
+  // now wildly stale (0 match).
+  Table rebuilt{t.schema()};
+  for (int64_t i = 0; i < 1000; ++i) rebuilt.Append({Value(i), Value(-1.0)});
+  t = std::move(rebuilt);
   const std::string fp_after = PlanFingerprint(plan);
   EXPECT_NE(fp_before, fp_after);  // content-version salt changed the key
   double stale = 0.0;

@@ -37,7 +37,7 @@ TEST(PlanTest, ScanFilterProjectExecute) {
   EXPECT_EQ(result.value().schema().num_columns(), 2u);
   EXPECT_GT(result.value().num_rows(), 0u);
   EXPECT_EQ(stats.rows_scanned, 1000u);
-  for (const Row& r : result.value().rows()) {
+  for (const Row& r : Rows(result.value())) {
     EXPECT_GT(r[1].AsDouble(), 14.0);
   }
 }

@@ -197,7 +197,8 @@ simsql::ChainTableSpec WalkerSpec(size_t walkers) {
                        Rng& rng) -> Result<table::Table> {
     const table::Table& old = prev.at("WALKERS");
     table::Table t(old.schema());
-    for (const table::Row& r : old.rows()) {
+    for (size_t i = 0; i < old.num_rows(); ++i) {
+      const table::RowView r = old.row(i);
       t.Append({r[0],
                 table::Value(r[1].AsDouble() + SampleStandardNormal(rng))});
     }

@@ -11,13 +11,46 @@
 
 namespace mde::table {
 
+std::vector<Row> Rows(const Table& t) {
+  std::vector<Row> rows;
+  rows.reserve(t.num_rows());
+  for (size_t i = 0; i < t.num_rows(); ++i) rows.push_back(t.row(i).ToRow());
+  return rows;
+}
+
+Result<RowPredicate> RowCompare(const Schema& schema,
+                                const std::string& column, CmpOp op,
+                                Value literal) {
+  MDE_ASSIGN_OR_RETURN(size_t idx, schema.IndexOf(column));
+  return RowPredicate([idx, op, lit = std::move(literal)](const Row& row) {
+    const Value& v = row[idx];
+    if (v.is_null() || lit.is_null()) return false;
+    return EvalCmp(v, op, lit);
+  });
+}
+
+RowPredicate And(RowPredicate a, RowPredicate b) {
+  return [a = std::move(a), b = std::move(b)](const Row& r) {
+    return a(r) && b(r);
+  };
+}
+
+RowPredicate Or(RowPredicate a, RowPredicate b) {
+  return [a = std::move(a), b = std::move(b)](const Row& r) {
+    return a(r) || b(r);
+  };
+}
+
+RowPredicate Not(RowPredicate a) {
+  return [a = std::move(a)](const Row& r) { return !a(r); };
+}
+
 Table Filter(const Table& t, const RowPredicate& pred) {
   MDE_TRACE_SPAN("row.filter");
   MDE_OBS_COUNT("row.filter.rows_in", t.num_rows());
   MDE_OBS_ATTR_ADD(rows_in, t.num_rows());
   Table out(t.schema());
-  out.Reserve(t.num_rows());
-  for (const Row& r : t.rows()) {
+  for (const Row& r : Rows(t)) {
     if (pred(r)) out.Append(r);
   }
   MDE_OBS_COUNT("row.filter.rows_out", out.num_rows());
@@ -36,8 +69,7 @@ Result<Table> Project(const Table& t,
     cols.push_back(t.schema().column(i));
   }
   Table out{Schema(std::move(cols))};
-  out.Reserve(t.num_rows());
-  for (const Row& r : t.rows()) {
+  for (const Row& r : Rows(t)) {
     Row nr;
     nr.reserve(idx.size());
     for (size_t i : idx) nr.push_back(r[i]);
@@ -98,14 +130,13 @@ Result<Table> HashJoin(const Table& left, const Table& right,
       index;
   index.reserve(right.num_rows());
   for (size_t r = 0; r < right.num_rows(); ++r) {
-    std::vector<Value> key = ExtractKey(right.row(r), ri);
+    std::vector<Value> key = ExtractKey(right.row(r).ToRow(), ri);
     bool has_null = false;
     for (const Value& v : key) has_null |= v.is_null();
     if (!has_null) index[std::move(key)].push_back(r);
   }
-  Table out{Schema::Concat(left.schema(), right.schema(), "r.")};
-  out.Reserve(left.num_rows());  // one-match-per-left-row estimate
-  for (const Row& lrow : left.rows()) {
+  Table out{Schema::Concat(left.schema(), right.schema(), "r.")};  // one-match-per-left-row estimate
+  for (const Row& lrow : Rows(left)) {
     std::vector<Value> key = ExtractKey(lrow, li);
     bool has_null = false;
     for (const Value& v : key) has_null |= v.is_null();
@@ -114,7 +145,7 @@ Result<Table> HashJoin(const Table& left, const Table& right,
     if (it == index.end()) continue;
     for (size_t r : it->second) {
       Row nr = lrow;
-      const Row& rrow = right.row(r);
+      const Row rrow = right.row(r).ToRow();
       nr.insert(nr.end(), rrow.begin(), rrow.end());
       out.Append(std::move(nr));
     }
@@ -164,7 +195,7 @@ Result<Table> GroupBy(const Table& t, const std::vector<std::string>& keys,
   groups.reserve(std::min<size_t>(t.num_rows(), 1024));
   std::vector<std::vector<Value>> group_order;
   group_order.reserve(std::min<size_t>(t.num_rows(), 1024));
-  for (const Row& r : t.rows()) {
+  for (const Row& r : Rows(t)) {
     std::vector<Value> key = ExtractKey(r, key_idx);
     auto it = groups.find(key);
     if (it == groups.end()) {
@@ -195,7 +226,6 @@ Result<Table> GroupBy(const Table& t, const std::vector<std::string>& keys,
     out_cols.push_back({a.as, dt});
   }
   Table out{Schema(std::move(out_cols))};
-  out.Reserve(group_order.size());
   for (const auto& key : group_order) {
     const auto& states = groups[key];
     Row r = key;
@@ -241,7 +271,7 @@ Result<Table> OrderBy(const Table& t, const std::vector<std::string>& columns,
   if (descending.size() != columns.size()) {
     return Status::InvalidArgument("descending flags arity mismatch");
   }
-  std::vector<Row> rows = t.rows();
+  std::vector<Row> rows = Rows(t);
   std::stable_sort(rows.begin(), rows.end(),
                    [&](const Row& a, const Row& b) {
                      for (size_t k = 0; k < idx.size(); ++k) {
@@ -262,8 +292,7 @@ Table Distinct(const Table& t) {
   std::unordered_map<std::vector<Value>, bool, KeyHash, KeyEq> seen;
   seen.reserve(t.num_rows());
   Table out(t.schema());
-  out.Reserve(t.num_rows());
-  for (const Row& r : t.rows()) {
+  for (const Row& r : Rows(t)) {
     if (seen.emplace(r, true).second) out.Append(r);
   }
   return out;
@@ -271,8 +300,9 @@ Table Distinct(const Table& t) {
 
 Table Limit(const Table& t, size_t n) {
   Table out(t.schema());
-  out.Reserve(std::min(n, t.num_rows()));
-  for (size_t i = 0; i < std::min(n, t.num_rows()); ++i) out.Append(t.row(i));
+  for (size_t i = 0; i < std::min(n, t.num_rows()); ++i) {
+    out.Append(t.row(i).ToRow());
+  }
   return out;
 }
 

@@ -1,6 +1,7 @@
 #ifndef MDE_TESTS_REFERENCE_OPS_H_
 #define MDE_TESTS_REFERENCE_OPS_H_
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -13,6 +14,25 @@ namespace mde::table {
 /// Row-at-a-time reference operators over boxed rows: the executable
 /// specification the vectorized kernels (vec_ops.h) are differentially
 /// tested against. Test-only; the library executes through vec_ops.h.
+
+/// Every row of `t`, boxed.
+std::vector<Row> Rows(const Table& t);
+
+/// Row predicate bound to a schema at build time so evaluation is a plain
+/// index lookup.
+using RowPredicate = std::function<bool(const Row&)>;
+
+/// The row form of ColumnCompare(schema, column, op, literal): nulls never
+/// match, otherwise EvalCmp. The specification FilterDet and VecFilter are
+/// tested against.
+Result<RowPredicate> RowCompare(const Schema& schema,
+                                const std::string& column, CmpOp op,
+                                Value literal);
+
+/// Conjunction / disjunction / negation combinators.
+RowPredicate And(RowPredicate a, RowPredicate b);
+RowPredicate Or(RowPredicate a, RowPredicate b);
+RowPredicate Not(RowPredicate a);
 
 /// sigma_p(t): rows of `t` satisfying `pred`.
 Table Filter(const Table& t, const RowPredicate& pred);

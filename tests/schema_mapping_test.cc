@@ -1,3 +1,6 @@
+#include <cstdint>
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "table/schema_mapping.h"
@@ -116,6 +119,33 @@ TEST(SchemaMappingTest, CastRoundTripTruncates) {
   auto out = m.value().Apply(SourceTable());
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out.value().row(0)[0].AsInt(), 212);
+}
+
+TEST(SchemaMappingTest, CastToInt64RejectsOutOfRange) {
+  // A double outside [-2^63, 2^63), or NaN, has no int64 value; the cast
+  // reports it instead of invoking undefined behaviour.
+  const Schema source({{"x", DataType::kDouble}});
+  const Schema target({{"i", DataType::kInt64}});
+  using CM = SchemaMapping::ColumnMapping;
+  auto m = SchemaMapping::Compile(source, target,
+                                  {{"i", CM::Kind::kCast, "x", {}, nullptr}});
+  ASSERT_TRUE(m.ok());
+  auto cast = [&](double x) {
+    Table t{source};
+    t.Append({Value(x)});
+    return m.value().Apply(t);
+  };
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(), 1e300, -1e300,
+                     9.3e18, 0x1p63}) {
+    auto out = cast(bad);
+    ASSERT_FALSE(out.ok()) << bad;
+    EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
+  EXPECT_EQ(cast(-0x1p63).value().row(0)[0].AsInt(),
+            std::numeric_limits<int64_t>::min());
+  EXPECT_EQ(cast(9.2e18).value().row(0)[0].AsInt(),
+            int64_t{9200000000000000000});
+  EXPECT_EQ(cast(-2.7).value().row(0)[0].AsInt(), -2);
 }
 
 }  // namespace

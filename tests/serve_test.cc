@@ -57,8 +57,9 @@ uint64_t StateChecksum(const DatabaseState& state) {
   for (const auto& [name, t] : state) {
     h = obs::FingerprintMix(h, obs::FingerprintString(name));
     for (size_t r = 0; r < t.num_rows(); ++r) {
-      for (const Value& v : t.row(r)) {
-        const double d = v.AsDouble();
+      const table::RowView row = t.row(r);
+      for (size_t c = 0; c < row.size(); ++c) {
+        const double d = row[c].AsDouble();
         uint64_t bits = 0;
         std::memcpy(&bits, &d, sizeof(bits));
         h = obs::FingerprintMix(h, bits);

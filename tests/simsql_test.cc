@@ -32,7 +32,8 @@ ChainTableSpec MakeWalkerSpec(size_t walkers) {
                        Rng& rng) -> Result<Table> {
     const Table& old = prev.at("WALKERS");
     Table t(old.schema());
-    for (const Row& r : old.rows()) {
+    for (size_t i = 0; i < old.num_rows(); ++i) {
+      const table::RowView r = old.row(i);
       t.Append({r[0], Value(r[1].AsDouble() + SampleStandardNormal(rng))});
     }
     return t;
@@ -60,8 +61,9 @@ TEST(MarkovChainTest, VarianceGrowsLinearly) {
   auto state = db.Run(9, 7, 0);
   ASSERT_TRUE(state.ok());
   std::vector<double> positions;
-  for (const Row& r : state.value().at("WALKERS").rows()) {
-    positions.push_back(r[1].AsDouble());
+  const Table& walkers = state.value().at("WALKERS");
+  for (size_t i = 0; i < walkers.num_rows(); ++i) {
+    positions.push_back(walkers.row(i)[1].AsDouble());
   }
   EXPECT_NEAR(Variance(positions), 9.0, 0.7);
 }

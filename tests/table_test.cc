@@ -1,6 +1,12 @@
+#include <cstdint>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "reference_ops.h"
+#include "table/columnar.h"
 #include "table/ops.h"
 #include "table/query.h"
 #include "table/table.h"
@@ -69,7 +75,7 @@ TEST(SchemaTest, ConcatPrefixesDuplicates) {
 
 TEST(FilterTest, ColumnCompare) {
   Table t = MakePeople();
-  auto pred = ColumnCompare(t.schema(), "age", CmpOp::kLe, int64_t{4});
+  auto pred = RowCompare(t.schema(), "age", CmpOp::kLe, int64_t{4});
   ASSERT_TRUE(pred.ok());
   Table kids = Filter(t, pred.value());
   EXPECT_EQ(kids.num_rows(), 2u);
@@ -77,8 +83,8 @@ TEST(FilterTest, ColumnCompare) {
 
 TEST(FilterTest, Combinators) {
   Table t = MakePeople();
-  auto young = ColumnCompare(t.schema(), "age", CmpOp::kLt, int64_t{30});
-  auto nyc = ColumnCompare(t.schema(), "city", CmpOp::kEq, "NYC");
+  auto young = RowCompare(t.schema(), "age", CmpOp::kLt, int64_t{30});
+  auto nyc = RowCompare(t.schema(), "city", CmpOp::kEq, "NYC");
   ASSERT_TRUE(young.ok() && nyc.ok());
   EXPECT_EQ(Filter(t, And(young.value(), nyc.value())).num_rows(), 2u);
   EXPECT_EQ(Filter(t, Or(young.value(), nyc.value())).num_rows(), 4u);
@@ -135,7 +141,7 @@ TEST(GroupByTest, AggregatesPerGroup) {
   // NYC group: 3 people, incomes 0, 55000, 30000.
   auto sorted = OrderBy(g.value(), {"city"});
   ASSERT_TRUE(sorted.ok());
-  const Row& nyc = sorted.value().row(0);
+  const RowView nyc = sorted.value().row(0);
   EXPECT_EQ(nyc[0].AsString(), "NYC");
   EXPECT_EQ(nyc[1].AsInt(), 3);
   EXPECT_NEAR(nyc[2].AsDouble(), 85000.0 / 3.0, 1e-9);
@@ -165,10 +171,62 @@ TEST(OrderByTest, MultiKeyAndDescending) {
 TEST(UnionDistinctLimitTest, Basics) {
   Table t = MakePeople();
   Table u = t;
-  for (const Row& r : t.rows()) u.Append(r);
+  for (const Row& r : Rows(t)) u.Append(r);
   EXPECT_EQ(u.num_rows(), 10u);
   EXPECT_EQ(Distinct(u).num_rows(), 5u);
   EXPECT_EQ(Limit(t, 2).num_rows(), 2u);
+}
+
+/// Reads every cell of `t` through row views, At, ToString and the
+/// column blocks, folding them into one checksum.
+uint64_t ReadEverything(const Table& t) {
+  uint64_t h = t.columnar()->num_rows();
+  for (size_t i = 0; i < t.num_rows(); ++i) {
+    const RowView r = t.row(i);
+    h = h * 31 + static_cast<uint64_t>(r[0].AsInt());
+    h = h * 31 + (r[1].is_null() ? 7 : r[1].AsString().size());
+    auto w = t.At(i, "w");
+    h = h * 31 + (w.value().is_null()
+                      ? 11
+                      : static_cast<uint64_t>(w.value().AsDouble() * 4));
+  }
+  return h * 31 + t.ToString(5).size();
+}
+
+TEST(TableConcurrencyTest, FreshTablesReadFromManyThreads) {
+  // Nothing reads either table before the threads start, so a cache that
+  // a const member filled on first access would race here (run under TSan).
+  const Schema schema({{"id", DataType::kInt64},
+                       {"name", DataType::kString},
+                       {"w", DataType::kDouble}});
+  Table appended{schema};
+  ColumnarTableBuilder b{schema};
+  for (int64_t i = 0; i < 700; ++i) {
+    const Row row = {
+        Value(i), i % 11 == 4 ? Value() : Value(i % 3 ? "a" : "bb"),
+        i % 7 == 0 ? Value() : Value(0.25 * static_cast<double>(i))};
+    appended.Append(row);
+    for (size_t c = 0; c < row.size(); ++c) {
+      ASSERT_TRUE(b.column(c).AppendValue(row[c]));
+    }
+  }
+  auto cols = b.Finish();
+  ASSERT_TRUE(cols.ok());
+  const Table wrapped = Table::FromColumnar(std::move(cols).value());
+
+  constexpr size_t kThreads = 8;
+  std::vector<uint64_t> got(2 * kThreads, 0);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      got[2 * t] = ReadEverything(appended);
+      got[2 * t + 1] = ReadEverything(wrapped);
+    });
+  }
+  for (auto& th : threads) th.join();
+  const uint64_t want = ReadEverything(appended);
+  EXPECT_EQ(ReadEverything(wrapped), want);
+  for (uint64_t h : got) EXPECT_EQ(h, want);
 }
 
 TEST(QueryTest, ChainedPipeline) {

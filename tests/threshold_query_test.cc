@@ -77,7 +77,8 @@ TEST(ThresholdQueryTest, RegionsDecliningWithHighProbability) {
   // Baselines per region (deterministic).
   const table::Table* stores = db.FindTable("STORES");
   std::map<std::string, double> baseline_total;
-  for (const Row& r : stores->rows()) {
+  for (size_t i = 0; i < stores->num_rows(); ++i) {
+    const table::RowView r = stores->row(i);
     baseline_total[r[1].AsString()] += r[2].AsDouble();
   }
 

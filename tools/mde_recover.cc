@@ -125,7 +125,8 @@ struct Problems {
                            Rng& rng) -> Result<mde::table::Table> {
         const mde::table::Table& old = prev.at("WALKERS");
         mde::table::Table t(old.schema());
-        for (const mde::table::Row& r : old.rows()) {
+        for (size_t i = 0; i < old.num_rows(); ++i) {
+          const mde::table::RowView r = old.row(i);
           t.Append({r[0], mde::table::Value(
                               r[1].AsDouble() +
                               mde::SampleStandardNormal(rng))});
