@@ -435,16 +435,9 @@ Result<BundleTable> GenerateBundlesImpl(const MonteCarloDb& db,
     return Status::Unimplemented(
         "tuple bundles require single-column VG output");
   }
-  // Deterministic parameter bindings are computed once; only the VG calls
-  // are repeated per repetition.
-  DatabaseInstance det_only;
-  {
-    MDE_ASSIGN_OR_RETURN(DatabaseInstance any, db.Instantiate(seed, 0));
-    // Keep only deterministic tables for parameter binding.
-    for (const auto& [name, t] : any) {
-      if (db.FindTable(name) != nullptr) det_only.emplace(name, t);
-    }
-  }
+  // Parameters bind against the deterministic tables only; each row binds
+  // once and only the VG calls are repeated per repetition.
+  const DatabaseInstance& det_only = db.deterministic_tables();
   // Output row j realizes outer row `keep[j]` (or j when keep is null):
   // rows a pre-generation filter eliminated never bind parameters and
   // never touch their VG substream.

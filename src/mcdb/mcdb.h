@@ -53,6 +53,11 @@ class MonteCarloDb {
 
   const table::Table* FindTable(const std::string& name) const;
 
+  /// The registered deterministic tables, without any stochastic table.
+  const DatabaseInstance& deterministic_tables() const {
+    return deterministic_;
+  }
+
   /// Realizes all stochastic tables using replication substream `rep` of
   /// `seed`, returning the deterministic tables plus realized stochastic
   /// tables.

@@ -1,3 +1,4 @@
+#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <memory>
@@ -445,6 +446,41 @@ TEST(BundleTest, GenerateReturnsBinderErrorFromLaterChunk) {
     ASSERT_FALSE(bundles.ok()) << threads << " threads";
     EXPECT_EQ(bundles.status().code(), StatusCode::kInvalidArgument);
     EXPECT_EQ(bundles.status().message(), "no parameters for PID 600");
+  }
+}
+
+/// Each generated row binds its parameters exactly once: generation reads
+/// the registered deterministic tables and realizes no stochastic table
+/// beside the bundles, with or without a pre-generation filter.
+TEST(BundleTest, ParamBinderRunsOncePerGeneratedRow) {
+  const MonteCarloDb base = MakeSbpDb(120.0, 15.0, 700);
+  auto binds = std::make_shared<std::atomic<size_t>>(0);
+  MonteCarloDb db;
+  ASSERT_TRUE(db.AddTable("PATIENTS", *base.FindTable("PATIENTS")).ok());
+  ASSERT_TRUE(db.AddTable("SBP_PARAM", *base.FindTable("SBP_PARAM")).ok());
+  StochasticTableSpec counted = base.stochastic_specs()[0];
+  counted.param_binder = [binds, bind = counted.param_binder](
+                             const Row& outer, const DatabaseInstance& det) {
+    binds->fetch_add(1, std::memory_order_relaxed);
+    return bind(outer, det);
+  };
+  ASSERT_TRUE(db.AddStochasticTable(std::move(counted)).ok());
+  const StochasticTableSpec& spec = db.stochastic_specs()[0];
+  for (size_t threads : {0u, 1u, 2u, 8u}) {
+    std::unique_ptr<ThreadPool> pool;
+    if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
+    binds->store(0);
+    ASSERT_TRUE(GenerateBundles(db, spec, "SBP", 16, 7, pool.get()).ok());
+    EXPECT_EQ(binds->load(), 700u) << threads << " threads";
+
+    binds->store(0);
+    PregenReport report;
+    ASSERT_TRUE(GenerateBundlesWhere(db, spec, "SBP", 16, 7,
+                                     {{"GENDER", CmpOp::kEq, Value("F")}},
+                                     pool.get(), &report)
+                    .ok());
+    EXPECT_EQ(report.kept_rows, 350u);
+    EXPECT_EQ(binds->load(), 350u) << threads << " threads, pushed down";
   }
 }
 
